@@ -20,11 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.sim.types import Allocation
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is only needed by graph()
+    import networkx as nx
 
 __all__ = ["ServiceSpec", "Stage", "RequestClass", "AppSpec"]
 
@@ -232,6 +235,8 @@ class AppSpec:
         service in the next stage (the first stage is rooted at a synthetic
         ``__ingress__`` node, matching the gateway in Figs. 2-4).
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.service_names)
         for rc in self.request_classes:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sim.batched import BatchObservation
 from repro.sim.types import Allocation, IntervalMetrics
 
 __all__ = ["RuleBasedAutoscaler", "RuleBatch"]
@@ -87,7 +88,8 @@ class RuleBatch:
 
     Holds ``B`` independent rule-based autoscalers (same service set, per-
     cell parameters) as stacked arrays and applies the scaling rule to all
-    of them in one call.  Every operation is the same IEEE float op, in
+    of them in one call — a :class:`~repro.core.loop.Bank` with a fixed
+    SLO per cell.  Every operation is the same IEEE float op, in
     the same order, as the scalar ``decide`` — cell ``i`` of a batch is
     byte-identical to a scalar autoscaler fed the same metrics.
     """
@@ -96,10 +98,14 @@ class RuleBatch:
         self,
         allocations: np.ndarray,
         scalers: "list[RuleBasedAutoscaler]",
+        slos: "list[float]",
     ) -> None:
         self.allocation = np.array(allocations, dtype=np.float64)
         if self.allocation.ndim != 2 or len(scalers) != self.allocation.shape[0]:
             raise ValueError("allocations must be (B, S) with one scaler per row")
+        self.slo = np.asarray(slos, dtype=np.float64)
+        self.decision_info: dict[int, list] = {}
+        self._scalers = scalers
         # The scalar constructor already validated every parameter.
         self._vpa = np.asarray([s.mode == "vpa" for s in scalers])
         self._target = np.asarray([s.target_utilization for s in scalers])
@@ -108,10 +114,15 @@ class RuleBatch:
         self._min_cpu = np.asarray([s.min_cpu for s in scalers])
         self._max_cpu = np.asarray([s.max_cpu for s in scalers])
 
-    def step(
-        self, usage_cores: np.ndarray, usage_p90_cores: np.ndarray
-    ) -> np.ndarray:
+    def cell(self, index: int) -> RuleBasedAutoscaler:
+        return self._scalers[index]
+
+    def enable_decision_trace(self, cells: "list[int]") -> None:
+        """The rule has no decision hook: its trace records carry None."""
+
+    def step(self, obs: BatchObservation) -> np.ndarray:
         """Apply the rule to every cell; returns the ``(B, S)`` allocations."""
+        usage_cores, usage_p90_cores = obs.usage_cores, obs.usage_p90_cores
         current = self.allocation
         by_util = (usage_cores / self._target[:, None]) * (
             1.0 + self._overprovision[:, None]

@@ -35,7 +35,7 @@ from repro.core.config import PEMAConfig
 from repro.core.selection import select_targets
 from repro.sim.batched import BatchObservation
 
-__all__ = ["PEMABatch"]
+__all__ = ["PEMABatch", "PEMACell"]
 
 #: Tolerance constants, matching :mod:`repro.core.selection`.
 _SEL_EPS = 1e-9
@@ -139,6 +139,10 @@ class PEMABatch:
         self.slo[cell] = float(slo)
         self._windows[cell].clear()
 
+    def cell(self, index: int) -> "PEMACell":
+        """Cell ``index`` as the controller mid-run hooks see."""
+        return PEMACell(self, index)
+
     # -- RHDb queries ------------------------------------------------------------
     def _best_rollback(self, cell: int, ceiling: float) -> int | None:
         """First minimum-total safe record index (ties keep the oldest)."""
@@ -169,13 +173,13 @@ class PEMABatch:
         ]
 
     # -- one control interval for the whole batch --------------------------------
-    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
+    def step(self, obs: BatchObservation) -> np.ndarray:
         """Advance every cell one interval; returns the ``(B, S)`` allocations.
 
         ``obs`` is the batch observation produced under the *current*
-        allocations; ``totals`` is ``allocation.sum(axis=1)`` for the same
-        (the caller already computed it for its own records).
+        allocations.
         """
+        totals = self.allocation.sum(axis=1)
         response = obs.latency_p95
         util = obs.utilization
         thr_seconds = obs.throttle_seconds
@@ -183,7 +187,7 @@ class PEMABatch:
 
         # Line 3: log this interval into the stacked RHDb.
         self._hist_resp.append(np.array(response))
-        self._hist_total.append(np.array(totals, dtype=np.float64))
+        self._hist_total.append(totals)
         self._hist_alloc.append(self.allocation.copy())
 
         violated = response > self.slo
@@ -353,3 +357,14 @@ class PEMABatch:
             ratchet & (thr_seconds > self.thr_th), thr_seconds, self.thr_th
         )
         return self.allocation
+
+
+class PEMACell:
+    """One cell of a :class:`PEMABatch`, as the scalar controller's hooks see it."""
+
+    def __init__(self, bank: PEMABatch, index: int) -> None:
+        self._bank = bank
+        self._index = index
+
+    def set_slo(self, slo: float) -> None:
+        self._bank.set_slo(self._index, slo)

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.controller import PEMAController, StepAction
 from repro.core.loop import LoopRecord, LoopResult
-from repro.metrics.collector import MetricsCollector
 from repro.sim.environment import Environment
 from repro.sim.types import IntervalMetrics, ServiceMetrics
 from repro.workload.trace import WorkloadTrace
@@ -98,7 +97,6 @@ class FastReactionLoop:
         *,
         interval: float = 120.0,
         monitor_splits: int = 12,
-        collector: MetricsCollector | None = None,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -109,7 +107,6 @@ class FastReactionLoop:
         self.workload = workload
         self.interval = interval
         self.monitor_splits = monitor_splits
-        self.collector = collector
 
     def run(
         self,
@@ -144,8 +141,6 @@ class FastReactionLoop:
                         result.mitigations += 1
                         mitigated = True
             aggregated = _aggregate(subs)
-            if self.collector is not None:
-                self.collector.collect(t, interval_alloc, aggregated)
             result.records.append(
                 LoopRecord(
                     step=step,

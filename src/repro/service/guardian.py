@@ -8,9 +8,11 @@ autoscaler, trace — built by the same
 ticks (the backpressure boundary — a driver outrunning the control loop
 blocks instead of growing memory), and the decision history so far.
 
-The tick path replicates :meth:`repro.core.loop.ControlLoop.run` step
-for step — hook dispatch, observation, SLO read, record, decide — so a
-guardian driven with the same rate floats as an offline run produces a
+The tick path drives the unit's :class:`~repro.core.loop.ControlLoop`
+one interval at a time through the shared
+:func:`~repro.core.loop.control_step` — the same hooks → observe →
+record → decide → trace code an offline run executes — so a guardian
+driven with the same rate floats as an offline run produces a
 byte-identical history.  That is the service's core determinism
 contract, enforced by ``tests/test_service.py`` and the CI service
 gate.
@@ -31,7 +33,6 @@ from repro.experiments.runner import (
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import reorder_window_for, stream_fault_entries
 from repro.metrics.export import loop_result_to_dict
-from repro.obs.decision import capture_decision_info, decision_record
 from repro.service.rescaler import Rescaler
 from repro.service.telemetry import (
     GUARDIAN_QUEUE_PEAK,
@@ -40,6 +41,7 @@ from repro.service.telemetry import (
     STREAM_REORDERED,
 )
 from repro.service.types import Decision, MetricSample, ServiceError
+from repro.sim.types import Allocation
 
 __all__ = ["Guardian"]
 
@@ -68,9 +70,6 @@ class Guardian:
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self.records: list[LoopRecord] = []
         self.decisions: list[Decision] = []
-        self.trace_records: list[dict[str, Any]] = []
-        """Deterministic per-step decision records, filled when the
-        spec's ``capture`` requested the ``decision_trace`` channel."""
         self.error: str | None = None
         self.restarts = 0
         """How many times the orchestrator rebuilt this app's guardian."""
@@ -79,6 +78,7 @@ class Guardian:
         self._on_step = hooks_on_step(spec)
         self._allocation = self.unit.autoscaler.allocation
         self._capture_trace = "decision_trace" in spec.capture
+        self.unit.loop.reset(decision_trace=self._capture_trace)
         # Stream-fault tolerance: specs that declare delivery faults get
         # dedup and a bounded reorder buffer sized for the worst declared
         # delay; clean specs keep the strict legacy protocol (any step
@@ -108,10 +108,10 @@ class Guardian:
     def tick(self, sample: MetricSample) -> Decision:
         """Execute one control interval from a streamed metric sample.
 
-        Mirrors one iteration of the offline loop exactly: the current
-        allocation serves the interval, the environment is observed
-        under the sample's rate, the record lands, and the autoscaler
-        decides the next allocation.
+        One :meth:`ControlLoop.step <repro.core.loop.ControlLoop.step>` of
+        the offline loop: the current allocation serves the interval, the
+        environment is observed under the sample's rate, the record
+        lands, and the autoscaler decides the next allocation.
         """
         step = self.steps_done
         if sample.step is not None and sample.step != step:
@@ -129,44 +129,18 @@ class Guardian:
                     f"injected {fail_kind} at step {step} of "
                     f"app {self.app_id!r}"
                 )
-        loop = self.unit.loop
-        if self._on_step is not None:
-            self._on_step(step, loop)
-        t = step * self.spec.interval
-        rps = float(sample.rps)
-        allocation = self._allocation
         if not self._replaying:
             # Replayed steps were already actuated (and counted) by the
             # guardian this one replaces; re-applying would double the
             # rescale accounting without changing any observation.
-            self.rescaler.apply(self, allocation)
-        metrics = self.rescaler.observe(self, allocation, rps)
-        slo_now = loop.current_slo()
-        record = LoopRecord(
-            step=step,
-            time=t,
-            workload=rps,
-            response=metrics.latency_p95,
-            total_cpu=allocation.total(),
-            violated=metrics.latency_p95 > slo_now,
-            slo=slo_now,
-            allocation=allocation,
-        )
+            self.rescaler.apply(self, self._allocation)
+        loop = self.unit.loop
+        loop.step(step, float(sample.rps), self._on_step)
+        (record,) = loop.history.loop_records(0, start=step)
         self.records.append(record)
-        self._allocation = self.unit.autoscaler.decide(metrics)
-        if self._capture_trace:
-            self.trace_records.append(
-                decision_record(
-                    step=step,
-                    workload=rps,
-                    response=metrics.latency_p95,
-                    slo=slo_now,
-                    violated=record.violated,
-                    total_cpu=record.total_cpu,
-                    next_total_cpu=self._allocation.total(),
-                    decision=capture_decision_info(self.unit.autoscaler),
-                )
-            )
+        self._allocation = Allocation.from_row(
+            loop.history.names, loop.bank.allocation[0]
+        )
         decision = Decision(
             app=self.app_id,
             step=step,
@@ -248,7 +222,9 @@ class Guardian:
                 self.unit.autoscaler
             )
         if self._capture_trace:
-            payload["decision_trace"] = list(self.trace_records)
+            payload["decision_trace"] = self.unit.loop.history.decision_trace(
+                0, self.unit.loop.bank
+            )
         return payload
 
     def state(self) -> dict[str, Any]:

@@ -1,13 +1,13 @@
-"""The actuation plane: applies decisions to the simulated environment.
+"""The actuation plane: accounts for the decisions applied to each app.
 
 In the MAPE-K framing the guardians are Analyze+Plan and the
 :class:`Rescaler` is Execute: it takes the allocation an autoscaler
-chose, pushes it into the app's environment (the simulated deployment),
-and observes the interval served under it.  Keeping actuation in one
+chose and applies it to the app's deployment.  Keeping actuation in one
 object gives the service a single choke point for rescale accounting —
 how many scale-ups/downs each app performed, how much CPU moved — and a
-seam where a real deployment would swap in an API-server client for the
-simulated engine.
+seam where a real deployment would swap in an API-server client.  The
+simulated engine consumes the allocation when the guardian's control
+step observes it, so applying is pure bookkeeping here.
 """
 
 from __future__ import annotations
@@ -51,13 +51,7 @@ class RescaleStats:
 
 
 class Rescaler:
-    """Applies allocations to per-app environments and observes them.
-
-    The observation call is byte-identical to the offline control
-    loop's: ``environment.observe(allocation, rps, interval)`` with the
-    same floats in the same order, so the Rescaler adds accounting, not
-    behavior.
-    """
+    """Per-app rescale accounting for the allocations guardians apply."""
 
     def __init__(self) -> None:
         self._stats: dict[str, RescaleStats] = {}
@@ -67,12 +61,7 @@ class Rescaler:
         return self._stats.setdefault(app_id, RescaleStats())
 
     def apply(self, guardian: "Guardian", allocation: Allocation) -> None:
-        """Push ``allocation`` into the app's (simulated) deployment.
-
-        The analytical engine consumes the allocation at observe time,
-        so applying is pure bookkeeping here; a cluster-backed guardian
-        would call ``cluster.apply`` exactly as the offline loop does.
-        """
+        """Record that ``allocation`` now serves ``guardian``'s app."""
         app_id = guardian.app_id
         stats = self.stats(app_id)
         stats.applies += 1
@@ -96,7 +85,12 @@ class Rescaler:
     def observe(
         self, guardian: "Guardian", allocation: Allocation, rps: float
     ) -> IntervalMetrics:
-        """One interval served under ``allocation`` at ``rps``."""
+        """Probe the app's environment directly, outside the tick path.
+
+        Ticks observe through the guardian's control step, never here.
+        A probe consumes the environment's noise stream, so a guardian
+        probed mid-run no longer replays an offline run byte for byte.
+        """
         return guardian.unit.engine.observe(
             allocation, rps, guardian.spec.interval
         )

@@ -1,22 +1,24 @@
 """Batched analytical engine: one vectorized observation for many cells.
 
-The scalar :class:`~repro.sim.engine.AnalyticalEngine` evaluates one
-(allocation, workload) pair per call; a large sweep therefore pays the
-full NumPy/scipy call overhead once per *cell* per control interval.
+A one-(allocation, workload)-pair-per-call engine makes a large sweep pay
+the full NumPy/scipy call overhead once per *cell* per control interval.
 :class:`BatchedAnalyticalEngine` stacks ``B`` compatible cells of the same
-application into ``(B, S)`` arrays and runs the identical closed forms
-(Gamma concurrency → throttling/overload → visit latency → end-to-end
-aggregation) once per *batch* per interval.
+application into ``(B, S)`` arrays and runs the closed forms (Gamma
+concurrency → throttling/overload → visit latency → end-to-end
+aggregation) once per *batch* per interval.  It is the analytical model's
+only implementation: the scalar
+:class:`~repro.sim.engine.AnalyticalEngine` is a one-cell facade over it.
 
 Bit-exactness contract: every deterministic operation is the same IEEE
-float64 operation in the same order as the scalar engine, applied
+float64 operation in the same order as the closed-form scalar oracle
+(:class:`~repro.sim.engine.ReferenceAnalyticalEngine`), applied
 elementwise across the batch (scipy's incomplete-gamma ufuncs and NumPy's
 arithmetic/``exp``/``power`` kernels are value-deterministic regardless of
 array shape), and every *stochastic* draw comes from a dedicated per-cell
 ``np.random.default_rng(seed)`` stream consumed in exactly the scalar
 call order (latency noise factor first, then the per-service usage
 normals).  Row ``i`` of a batched observation is therefore byte-identical
-to what a scalar engine seeded like cell ``i`` would observe —
+to what the oracle seeded like cell ``i`` would observe —
 ``tests/test_batched.py`` enforces this cell by cell.
 """
 
@@ -31,11 +33,12 @@ from repro.sim.cfs import CFSModel
 from repro.sim.concurrency import gamma_quantile
 from repro.sim.latency import LatencyParams, NoiselessLatencyKernel
 from repro.sim.noise import NoiseModel
+from repro.sim.types import IntervalMetrics, ServiceMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.apps.spec import AppSpec
 
-__all__ = ["BatchObservation", "BatchedAnalyticalEngine"]
+__all__ = ["BatchObservation", "BatchedAnalyticalEngine", "EngineCell"]
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,61 @@ class BatchObservation:
     throttle_seconds: np.ndarray
     usage_cores: np.ndarray
     usage_p90_cores: np.ndarray
+    metrics: tuple[IntervalMetrics, ...] | None = None
+    """The environment's own per-cell metrics, when a scalar environment
+    produced this observation (see :meth:`from_metrics`)."""
 
     @property
     def n_cells(self) -> int:
         return self.latency_p95.shape[0]
+
+    def interval_metrics(self, cell: int, names: Sequence[str]) -> IntervalMetrics:
+        """Row ``cell`` as the :class:`IntervalMetrics` a scalar engine returns.
+
+        Scalar environments' own metrics are handed back unchanged;
+        analytical rows are rebuilt with the scalar engine's exact floats
+        (``latency_mean`` is ``latency_p95 / 1.6``, as it always was).
+        """
+        if self.metrics is not None:
+            return self.metrics[cell]
+        latency = self.latency_p95[cell]
+        columns = zip(
+            names,
+            self.utilization[cell].tolist(),
+            self.throttle_seconds[cell].tolist(),
+            self.usage_cores[cell].tolist(),
+            self.usage_p90_cores[cell].tolist(),
+        )
+        return IntervalMetrics(
+            latency_p95=float(latency),
+            workload_rps=float(self.workload_rps[cell]),
+            services={
+                name: ServiceMetrics(
+                    utilization=util,
+                    throttle_seconds=throttle,
+                    usage_cores=usage,
+                    usage_p90_cores=p90,
+                )
+                for name, util, throttle, usage, p90 in columns
+            },
+            latency_mean=float(latency / 1.6),
+        )
+
+    @classmethod
+    def from_metrics(
+        cls, metrics: IntervalMetrics, names: Sequence[str]
+    ) -> "BatchObservation":
+        """A one-cell observation wrapping a scalar environment's metrics."""
+        services = [metrics.services[name] for name in names]
+        return cls(
+            latency_p95=np.array([metrics.latency_p95]),
+            workload_rps=np.array([metrics.workload_rps]),
+            utilization=np.array([[s.utilization for s in services]]),
+            throttle_seconds=np.array([[s.throttle_seconds for s in services]]),
+            usage_cores=np.array([[s.usage_cores for s in services]]),
+            usage_p90_cores=np.array([[s.usage_p90_cores for s in services]]),
+            metrics=(metrics,),
+        )
 
 
 class BatchedAnalyticalEngine:
@@ -90,9 +144,9 @@ class BatchedAnalyticalEngine:
         self.cfs = cfs or CFSModel()
         self.noise = noise if noise is not None else NoiseModel()
         self._rngs = [np.random.default_rng(int(s)) for s in seeds]
-        self._kernel = NoiselessLatencyKernel(app, params=self.latency_params)
+        self.kernel = NoiselessLatencyKernel(app, params=self.latency_params)
         self.cpu_speed = np.ones(len(self._rngs), dtype=np.float64)
-        # Scalar-cache replica: ``AnalyticalEngine._concurrency`` memoizes
+        # Scalar-cache replica: the oracle's ``_concurrency`` memoizes
         # its model per (round(workload, 9), cpu_speed), so two workloads
         # equal to 9 decimals but one ulp apart observe the *first* one's
         # model.  Each cell keeps the same canonical-workload mapping so
@@ -119,12 +173,16 @@ class BatchedAnalyticalEngine:
     def n_cells(self) -> int:
         return len(self._rngs)
 
+    def cell(self, index: int) -> "EngineCell":
+        """Cell ``index`` through the scalar engine's setter API."""
+        return EngineCell(self, index)
+
     def set_cpu_speed(self, cell: int, speed: float) -> None:
         """Change one cell's CPU clock (the Fig. 19 ``set_cpu_speed`` hook)."""
         if speed <= 0:
             raise ValueError(f"speed must be positive: {speed}")
         self.cpu_speed[cell] = float(speed)
-        # The scalar engine clears its concurrency-model cache here.
+        # The scalar oracle clears its concurrency-model cache here.
         self._canonical_workloads[cell].clear()
 
     # -- fault-injection channels (repro.faults) ---------------------------------
@@ -143,8 +201,8 @@ class BatchedAnalyticalEngine:
     ) -> None:
         """One cell's effective-capacity scale (``service_crash``).
 
-        Mirrors :meth:`AnalyticalEngine.set_capacity_scale`: capacity does
-        not enter the concurrency model, so no cache invalidation.
+        Capacity does not enter the concurrency model, so no cache
+        invalidation.
         """
         if scale < 0:
             raise ValueError(f"capacity scale must be >= 0: {scale}")
@@ -157,7 +215,7 @@ class BatchedAnalyticalEngine:
         """One cell's CPU-demand scale (``calibration_drift``).
 
         Demands enter the concurrency model: the cell's canonical-workload
-        map is cleared, exactly as the scalar engine clears its model
+        map is cleared, exactly as the scalar oracle clears its model
         cache.
         """
         if scale <= 0:
@@ -215,11 +273,11 @@ class BatchedAnalyticalEngine:
                 model_workload[i] = canonical
         if self._faulted:
             demand_scale = self._demand_scale * self._service_level[:, None]
-            sig = self._kernel.evaluate(
+            sig = self.kernel.evaluate(
                 alloc, model_workload, self.cpu_speed, demand_scale
             )
         else:
-            sig = self._kernel.evaluate(alloc, model_workload, self.cpu_speed)
+            sig = self.kernel.evaluate(alloc, model_workload, self.cpu_speed)
         excess_arr = sig.overload * np.maximum(alloc, 1e-12)
         frac = self.cfs.throttled_fraction(sig.exceed, excess_arr, alloc)
         thr_seconds = frac * interval[:, None]
@@ -250,3 +308,44 @@ class BatchedAnalyticalEngine:
             usage_cores=usage_noisy,
             usage_p90_cores=p90,
         )
+
+
+class EngineCell:
+    """One cell of a batched engine, through the scalar engine's setters.
+
+    Mid-run hooks, the shared fault schedule
+    (:func:`repro.faults.apply_fault_actions`) and actuating controllers
+    (brownout's service-level dimmer) drive an engine through
+    ``set_cpu_speed``/``set_capacity_scale``/``set_demand_scale``/
+    ``set_service_level``; a cell view lets them drive one row of a batch
+    with exactly the calls they make against a scalar engine.
+    """
+
+    def __init__(self, batch: BatchedAnalyticalEngine, index: int) -> None:
+        self.batch = batch
+        self.index = index
+
+    @property
+    def cpu_speed(self) -> float:
+        """Relative CPU clock speed (1.0 = nominal, e.g. 1.8 GHz)."""
+        return float(self.batch.cpu_speed[self.index])
+
+    def set_cpu_speed(self, speed: float) -> None:
+        """Change the hardware speed (Fig. 19's 1.8→1.6/2.0 GHz experiment)."""
+        self.batch.set_cpu_speed(self.index, speed)
+
+    def set_capacity_scale(
+        self, scale: float, service: str | None = None
+    ) -> None:
+        """Scale a service's *effective* capacity (``service_crash``)."""
+        self.batch.set_capacity_scale(self.index, scale, service=service)
+
+    def set_demand_scale(
+        self, scale: float, service: str | None = None
+    ) -> None:
+        """Scale a service's calibrated CPU demand (``calibration_drift``)."""
+        self.batch.set_demand_scale(self.index, scale, service=service)
+
+    def set_service_level(self, level: float) -> None:
+        """Set the app-wide service-level dimmer (brownout actuation)."""
+        self.batch.set_service_level(self.index, level)

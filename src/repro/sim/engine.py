@@ -5,6 +5,12 @@ Evaluates an allocation + workload into interval metrics using closed forms
 aggregation).  Fast enough for tens of thousands of controller iterations,
 which is what the parameter sweeps and 36-hour replays need.
 
+:class:`AnalyticalEngine` is a one-cell facade over
+:class:`~repro.sim.batched.BatchedAnalyticalEngine`: a scalar run and row
+``i`` of a batched run execute the same code.  The original closed-form
+scalar ``observe`` survives only as :class:`ReferenceAnalyticalEngine`,
+the test oracle the batched engine is checked against cell by cell.
+
 The discrete-event engine (:mod:`repro.sim.des`) produces the same metric
 signatures from first principles and is used for cross-validation.
 """
@@ -15,6 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.sim.batched import BatchedAnalyticalEngine, EngineCell
 from repro.sim.cfs import CFSModel
 from repro.sim.concurrency import ConcurrencyModel
 from repro.sim.latency import (
@@ -29,10 +36,10 @@ from repro.sim.types import Allocation, IntervalMetrics, ServiceMetrics
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.apps.spec import AppSpec
 
-__all__ = ["AnalyticalEngine"]
+__all__ = ["AnalyticalEngine", "ReferenceAnalyticalEngine"]
 
 
-class AnalyticalEngine:
+class AnalyticalEngine(EngineCell):
     """Closed-form implementation of the :class:`Environment` protocol.
 
     Parameters
@@ -48,6 +55,10 @@ class AnalyticalEngine:
         Seed for the measurement-noise stream.  Two engines with the same
         seed observe identical noise — sweeps reuse seeds for paired
         comparisons.
+
+    The engine is cell 0 of a one-cell
+    :class:`~repro.sim.batched.BatchedAnalyticalEngine` (``self.batch``):
+    observations, the CPU clock and the fault channels all live there.
     """
 
     def __init__(
@@ -62,28 +73,21 @@ class AnalyticalEngine:
     ) -> None:
         if not 0 < p_crit < 1:
             raise ValueError(f"p_crit must be in (0, 1): {p_crit}")
+        super().__init__(
+            BatchedAnalyticalEngine(
+                app, [seed], latency_params=latency_params, cfs=cfs, noise=noise
+            ),
+            0,
+        )
         self._app = app
-        self.latency_params = latency_params or LatencyParams()
-        self.cfs = cfs or CFSModel()
-        self.noise = noise if noise is not None else NoiseModel()
+        self.latency_params = self.batch.latency_params
+        self.cfs = self.batch.cfs
+        self.noise = self.batch.noise
         self.p_crit = p_crit
-        self._rng = np.random.default_rng(seed)
-        self._cpu_speed = 1.0
         self._visits = app.visit_array()
         self._demands = app.demand_array()
         self._burst = app.burstiness_array()
-        self._floors = app.floor_array()
         self._baselines = app.baseline_array()
-        self._cache: dict[tuple[float, float], ConcurrencyModel] = {}
-        self._kernel = NoiselessLatencyKernel(app, params=self.latency_params)
-        # Fault-injection channels (repro.faults).  All-ones / 1.0 means
-        # "no disturbance"; ``_faulted`` keeps clean runs on the exact
-        # pre-fault code path so their bytes are provably unchanged.
-        n_services = len(app.service_names)
-        self._capacity_scale = np.ones(n_services)
-        self._demand_scale = np.ones(n_services)
-        self._service_level = 1.0
-        self._faulted = False
 
     # -- Environment protocol --------------------------------------------------
     @property
@@ -97,13 +101,103 @@ class AnalyticalEngine:
         interval: float = 120.0,
     ) -> IntervalMetrics:
         """One monitoring interval's metrics, with measurement noise."""
+        names = self._app.service_names
+        obs = self.batch.observe(
+            allocation.as_array(names)[None, :],
+            np.array([workload_rps], dtype=np.float64),
+            np.array([interval], dtype=np.float64),
+        )
+        return obs.interval_metrics(0, names)
+
+    # -- noise-free evaluation (search / tests) ---------------------------------
+    @property
+    def noiseless_kernel(self) -> NoiselessLatencyKernel:
+        """The shared deterministic latency kernel (OPTM evaluates on it)."""
+        return self.batch.kernel
+
+    def noiseless_latency(self, allocation: Allocation, workload_rps: float) -> float:
+        """Deterministic p95 latency — what OPTM's trial-and-error measures."""
         alloc = allocation.as_array(self._app.service_names)
-        if self._faulted:
+        return float(self.noiseless_latency_batch(alloc[None, :], workload_rps)[0])
+
+    def noiseless_latency_batch(
+        self, allocs: np.ndarray, workload_rps: float | np.ndarray
+    ) -> np.ndarray:
+        """Noise-free p95 of ``(B, S)`` allocation rows in one kernel call.
+
+        ``workload_rps`` is a scalar shared by the batch or a per-row
+        ``(B,)`` array.  Row ``i`` is bit-identical to
+        ``noiseless_latency`` of that row — both run the shared
+        :class:`~repro.sim.latency.NoiselessLatencyKernel`.
+        """
+        allocs = np.asarray(allocs, dtype=np.float64)
+        workload = np.asarray(workload_rps, dtype=np.float64)
+        if workload.ndim == 0:
+            workload = np.full(allocs.shape[0], float(workload))
+        return self.batch.kernel.latency(allocs, workload, self.cpu_speed)
+
+    def bottleneck_allocation(self, workload_rps: float) -> Allocation:
+        """Per-service bottleneck resources at this workload (Fig. 8 knee)."""
+        model = self._concurrency(workload_rps)
+        return Allocation.from_array(
+            self._app.service_names, np.maximum(model.bottleneck(self.p_crit), 0.05)
+        )
+
+    def _concurrency(self, workload_rps: float) -> ConcurrencyModel:
+        """The Gamma concurrency model under the current clock and faults."""
+        if workload_rps < 0:
+            raise ValueError(f"workload must be >= 0: {workload_rps}")
+        batch, cell = self.batch, self.index
+        demands = self._demands
+        if batch._faulted:
+            demands = demands * (
+                batch._demand_scale[cell] * batch._service_level[cell]
+            )
+        mean = (
+            workload_rps * self._visits * demands + self._baselines
+        ) / self.cpu_speed
+        return ConcurrencyModel(mean=mean, burstiness=self._burst)
+
+
+class ReferenceAnalyticalEngine(AnalyticalEngine):
+    """The closed-form scalar ``observe``, kept as a test oracle.
+
+    This is the engine's original one-cell implementation: its own noise
+    stream, a concurrency-model cache keyed by
+    ``(round(workload, 9), cpu_speed)``, and the scalar latency path.
+    The batched engine replicates it bit for bit, and the parity tests
+    compare the two row by row.  No executor calls it.
+    """
+
+    def __init__(self, app: AppSpec, *, seed: int = 0, **kwargs) -> None:
+        super().__init__(app, seed=seed, **kwargs)
+        self._rng = np.random.default_rng(seed)
+        self._floors = app.floor_array()
+        self._cache: dict[tuple[float, float], ConcurrencyModel] = {}
+
+    def set_cpu_speed(self, speed: float) -> None:
+        super().set_cpu_speed(speed)
+        self._cache.clear()
+
+    def set_demand_scale(self, scale: float, service: str | None = None) -> None:
+        super().set_demand_scale(scale, service)
+        self._cache.clear()
+
+    def set_service_level(self, level: float) -> None:
+        super().set_service_level(level)
+        self._cache.clear()
+
+    def observe(
+        self,
+        allocation: Allocation,
+        workload_rps: float,
+        interval: float = 120.0,
+    ) -> IntervalMetrics:
+        alloc = allocation.as_array(self._app.service_names)
+        if self.batch._faulted:
             # A crashed service *behaves* as a fraction of its nominal
-            # capacity; the controller still accounts the CPU it asked for
-            # (the recorded allocation is the controller's, not the
-            # effective one).
-            alloc = alloc * self._capacity_scale
+            # capacity; the recorded allocation stays the controller's.
+            alloc = alloc * self.batch._capacity_scale[self.index]
         model = self._concurrency(workload_rps)
         exceed = model.exceed_probability(alloc)
         excess_arr = model.overload(alloc) * np.maximum(alloc, 1e-12)
@@ -112,7 +206,9 @@ class AnalyticalEngine:
 
         # p95 latency is driven by how often a request's CFS period freezes
         # (the exceed probability), not by the average frozen time.
-        latency = self._latency_from(model, alloc, overload, exceed)
+        floors = self._floors / self.cpu_speed
+        per_visit = visit_latency(floors, overload, exceed, self.latency_params)
+        latency = end_to_end_latency(self._app, per_visit)
         latency *= self.noise.sample(self._rng)
 
         usage = np.minimum(model.mean, alloc)
@@ -137,135 +233,12 @@ class AnalyticalEngine:
             latency_mean=float(latency / 1.6),
         )
 
-    # -- noise-free evaluation (search / tests) ---------------------------------
-    @property
-    def noiseless_kernel(self) -> NoiselessLatencyKernel:
-        """The shared deterministic latency kernel (OPTM evaluates on it)."""
-        return self._kernel
-
-    def noiseless_latency(self, allocation: Allocation, workload_rps: float) -> float:
-        """Deterministic p95 latency — what OPTM's trial-and-error measures."""
-        alloc = allocation.as_array(self._app.service_names)
-        return float(self.noiseless_latency_batch(alloc[None, :], workload_rps)[0])
-
-    def noiseless_latency_batch(
-        self, allocs: np.ndarray, workload_rps: float | np.ndarray
-    ) -> np.ndarray:
-        """Noise-free p95 of ``(B, S)`` allocation rows in one kernel call.
-
-        ``workload_rps`` is a scalar shared by the batch or a per-row
-        ``(B,)`` array.  Row ``i`` is bit-identical to
-        ``noiseless_latency`` of that row — both run the shared
-        :class:`~repro.sim.latency.NoiselessLatencyKernel`.
-        """
-        allocs = np.asarray(allocs, dtype=np.float64)
-        workload = np.asarray(workload_rps, dtype=np.float64)
-        if workload.ndim == 0:
-            workload = np.full(allocs.shape[0], float(workload))
-        return self._kernel.latency(allocs, workload, self._cpu_speed)
-
-    def bottleneck_allocation(self, workload_rps: float) -> Allocation:
-        """Per-service bottleneck resources at this workload (Fig. 8 knee)."""
-        model = self._concurrency(workload_rps)
-        return Allocation.from_array(
-            self._app.service_names, np.maximum(model.bottleneck(self.p_crit), 0.05)
-        )
-
-    # -- operating conditions ----------------------------------------------------
-    @property
-    def cpu_speed(self) -> float:
-        """Relative CPU clock speed (1.0 = nominal, e.g. 1.8 GHz)."""
-        return self._cpu_speed
-
-    def set_cpu_speed(self, speed: float) -> None:
-        """Change the hardware speed (Fig. 19's 1.8→1.6/2.0 GHz experiment)."""
-        if speed <= 0:
-            raise ValueError(f"speed must be positive: {speed}")
-        self._cpu_speed = float(speed)
-        self._cache.clear()
-
-    # -- fault-injection channels (repro.faults) ---------------------------------
-    def _service_index(self, service: str) -> int:
-        try:
-            return self._app.service_names.index(service)
-        except ValueError:
-            raise ValueError(
-                f"unknown service {service!r} for app {self._app.name!r}"
-            ) from None
-
-    def set_capacity_scale(self, scale: float, service: str | None = None) -> None:
-        """Scale a service's *effective* capacity (``service_crash``).
-
-        The allocation the controller chose is recorded unchanged; the
-        engine behaves as if only ``scale`` of it were usable.  Capacity
-        does not enter the concurrency model, so the model cache stays
-        valid.
-        """
-        if scale < 0:
-            raise ValueError(f"capacity scale must be >= 0: {scale}")
-        if service is None:
-            self._capacity_scale[:] = float(scale)
-        else:
-            self._capacity_scale[self._service_index(service)] = float(scale)
-        self._faulted = True
-
-    def set_demand_scale(self, scale: float, service: str | None = None) -> None:
-        """Scale a service's calibrated CPU demand (``calibration_drift``).
-
-        Demands enter the concurrency model, so the model cache is
-        cleared — the same invalidation :meth:`set_cpu_speed` performs.
-        """
-        if scale <= 0:
-            raise ValueError(f"demand scale must be positive: {scale}")
-        if service is None:
-            self._demand_scale[:] = float(scale)
-        else:
-            self._demand_scale[self._service_index(service)] = float(scale)
-        self._faulted = True
-        self._cache.clear()
-
-    def set_service_level(self, level: float) -> None:
-        """Set the app-wide service-level dimmer (brownout actuation).
-
-        ``level`` multiplies every service's CPU demand — serving a
-        degraded (cheaper) response.  Clears the model cache like
-        :meth:`set_demand_scale`.
-        """
-        if not 0 < level <= 1.0:
-            raise ValueError(f"service level must be in (0, 1]: {level}")
-        self._service_level = float(level)
-        self._faulted = True
-        self._cache.clear()
-
-    # -- internals ------------------------------------------------------------------
     def _concurrency(self, workload_rps: float) -> ConcurrencyModel:
-        if workload_rps < 0:
-            raise ValueError(f"workload must be >= 0: {workload_rps}")
-        key = (round(float(workload_rps), 9), self._cpu_speed)
+        key = (round(float(workload_rps), 9), self.cpu_speed)
         model = self._cache.get(key)
         if model is None:
-            if self._faulted:
-                demands = self._demands * (
-                    self._demand_scale * self._service_level
-                )
-            else:
-                demands = self._demands
-            mean = (
-                workload_rps * self._visits * demands + self._baselines
-            ) / self._cpu_speed
-            model = ConcurrencyModel(mean=mean, burstiness=self._burst)
+            model = super()._concurrency(workload_rps)
             if len(self._cache) > 4096:
                 self._cache.clear()
             self._cache[key] = model
         return model
-
-    def _latency_from(
-        self,
-        model: ConcurrencyModel,
-        alloc: np.ndarray,
-        overload: np.ndarray,
-        exceed_frac: np.ndarray,
-    ) -> float:
-        floors = self._floors / self._cpu_speed
-        per_visit = visit_latency(floors, overload, exceed_frac, self.latency_params)
-        return end_to_end_latency(self._app, per_visit)

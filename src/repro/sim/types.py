@@ -83,7 +83,7 @@ class Allocation(Mapping[str, float]):
 
     def as_array(self, order: Iterable[str] | None = None) -> np.ndarray:
         """Return CPU values as a float array, optionally reordered."""
-        if order is None:
+        if order is None or order == self._names:
             return self._values.copy()
         return np.asarray([self[name] for name in order], dtype=np.float64)
 
@@ -94,6 +94,20 @@ class Allocation(Mapping[str, float]):
         if len(names) != values.shape[0]:
             raise ValueError("names/values length mismatch")
         return cls(dict(zip(names, values.tolist())))
+
+    @classmethod
+    def from_row(cls, names: tuple[str, ...], row: np.ndarray) -> "Allocation":
+        """An allocation over ``row``, whose values came from allocations.
+
+        Control-step histories keep allocations as ``(B, S)`` rows of
+        already-validated values, so rebuilding one skips
+        :meth:`from_array`'s per-value validation.
+        """
+        self = object.__new__(cls)
+        self._names = names
+        self._values = np.array(row, dtype=np.float64)
+        self._values.flags.writeable = False
+        return self
 
     def total(self) -> float:
         """Aggregate CPU across all services (the paper's objective, Eqn 1)."""

@@ -3,12 +3,11 @@
 The scheduler's ``batch=True`` path partitions each chunk of pending
 (spec, repeat) units into *compatible groups* — same application, same
 autoscaler kind, same horizon, analytical engine — and hands every group
-to :func:`run_units_batched`, which advances the whole group through the
-control loop as one stack of arrays: one
-:class:`~repro.sim.batched.BatchedAnalyticalEngine` observation and one
-:class:`~repro.core.batch.PEMABatch`/
-:class:`~repro.baselines.rule.RuleBatch` decision per interval, instead
-of one full scalar Python loop per cell.
+to :func:`run_units_batched`, which drives the shared
+:func:`~repro.core.loop.control_step` over the whole group as one stack
+of arrays: one :class:`~repro.sim.batched.BatchedAnalyticalEngine`
+observation and one decision-bank step per interval, instead of one
+scalar loop per cell.
 
 Byte-identity: every per-cell float operation and random draw is
 replicated in the scalar order (see the bit-exactness notes in
@@ -30,6 +29,7 @@ silently degrading.
 from __future__ import annotations
 
 import gc
+from types import SimpleNamespace
 from typing import Any, Hashable, Sequence
 
 import numpy as np
@@ -40,21 +40,15 @@ from repro.baselines.pid import PIDController
 from repro.baselines.rule import RuleBasedAutoscaler, RuleBatch
 from repro.core.batch import PEMABatch
 from repro.core.config import PEMAConfig
+from repro.core.loop import Bank, ManagerBank, StepHistory, control_step
 from repro.experiments.registry import AUTOSCALERS, HOOKS, WORKLOADS
 from repro.experiments.runner import capture_manager_state
 from repro.experiments.spec import ExperimentSpec
-from repro.faults import (
-    ENGINE_FAULT_KINDS,
-    STREAM_FAULT_KINDS,
-    apply_fault_actions,
-    fault_actions,
-    normalize_fault_params,
-)
-from repro.obs.decision import capture_decision_info
+from repro.faults import ENGINE_FAULT_KINDS, STREAM_FAULT_KINDS
 from repro.sim.batched import BatchObservation, BatchedAnalyticalEngine
 from repro.sim.concurrency import gamma_quantile
 from repro.sim.noise import NoiseModel
-from repro.sim.types import Allocation, IntervalMetrics, ServiceMetrics
+from repro.sim.types import Allocation
 from repro.workload.replay import rate_schedule
 
 __all__ = [
@@ -86,13 +80,17 @@ BATCHABLE_AUTOSCALERS = (
     "pid", "brownout",
 )
 
-#: Hook kinds the batched loop can dispatch.  ``set_slo`` only drives a
-#: PEMA bank (other autoscalers have no ``set_slo``, exactly as scalar);
-#: engine faults go through the shared :func:`repro.faults.fault_actions`
-#: schedule; stream faults are delivery disturbances, offline no-ops.
+#: Hook kinds a batched cell can run: each is the registry closure the
+#: scalar loop runs, called with a view of the cell's engine row and bank
+#: cell.  Stream faults are delivery disturbances, offline no-ops.
 _BATCHABLE_HOOKS = (
     ("set_slo", "set_cpu_speed") + ENGINE_FAULT_KINDS + STREAM_FAULT_KINDS
 )
+
+#: Autoscaler kinds whose controller has ``set_slo`` (the PEMA bank cell
+#: and the PID controller); a ``set_slo`` hook on any other kind fails in
+#: the scalar path, so those cells fall back to it.
+_SET_SLO_KINDS = ("pema", "pid")
 
 
 def classify_unit(
@@ -110,7 +108,7 @@ def classify_unit(
     The reason is a stable machine-readable slug (``engine:des``,
     ``autoscaler:fast_pema``, ``hook:my_hook``, ``pema_horizon``,
     ``engine_params``, ``engine_params:noise``, ``hook_params:set_slo``,
-    ``autoscaler_params:rule``, ``set_slo_without_pema``) — the
+    ``autoscaler_params:rule``, ``set_slo_unsupported``) — the
     scheduler tallies these into ``SweepReport.fallbacks`` and the CLI
     prints them, so nobody mistakes a mostly-scalar "batched" sweep for
     a vectorized one.
@@ -144,8 +142,8 @@ def classify_unit(
     for hook in spec.hooks:
         if hook.kind not in _BATCHABLE_HOOKS:
             return None, f"hook:{hook.kind}"
-        if hook.kind == "set_slo" and kind != "pema":
-            return None, "set_slo_without_pema"
+        if hook.kind == "set_slo" and kind not in _SET_SLO_KINDS:
+            return None, "set_slo_unsupported"
         try:
             HOOKS.build(hook.kind, **hook.params)
         except (TypeError, ValueError, KeyError):
@@ -220,6 +218,24 @@ def batch_fallback_reason(spec: ExperimentSpec) -> str | None:
     return classify_unit(spec)[1]
 
 
+class _StaticBank:
+    """Cells whose allocation is pinned for the whole run."""
+
+    def __init__(self, allocation: np.ndarray, slos: Sequence[float]) -> None:
+        self.allocation = np.array(allocation, dtype=np.float64)
+        self.slo = np.asarray(slos, dtype=np.float64)
+        self.decision_info: dict[int, list] = {}
+
+    def cell(self, index: int) -> None:
+        return None
+
+    def enable_decision_trace(self, cells: Sequence[int]) -> None:
+        """Static cells make no decisions: their records carry None."""
+
+    def step(self, obs: BatchObservation) -> np.ndarray:
+        return self.allocation
+
+
 class _OptimumBank:
     """Vectorized :class:`~repro.baselines.OptimumAllocator` bank.
 
@@ -232,14 +248,28 @@ class _OptimumBank:
     allocator would.
     """
 
-    def __init__(self, app, restarts: Sequence[int], start: np.ndarray) -> None:
+    def __init__(
+        self,
+        app,
+        restarts: Sequence[int],
+        start: np.ndarray,
+        slos: Sequence[float],
+    ) -> None:
         self._app = app
         self._restarts = list(restarts)
         self.allocation = start.copy()
+        self.slo = np.asarray(slos, dtype=np.float64)
+        self.decision_info: dict[int, list] = {}
         self._workloads: list[float | None] = [None] * len(self._restarts)
-        self._order = {name: j for j, name in enumerate(app.service_names)}
 
-    def step(self, workloads: np.ndarray) -> np.ndarray:
+    def cell(self, index: int) -> None:
+        return None
+
+    def enable_decision_trace(self, cells: Sequence[int]) -> None:
+        """OPTM has no decision hook: its trace records carry None."""
+
+    def step(self, obs: BatchObservation) -> np.ndarray:
+        workloads = obs.workload_rps
         pending = [
             i
             for i, w in enumerate(workloads)
@@ -260,92 +290,6 @@ class _OptimumBank:
                 ]
                 self._workloads[i] = float(workloads[i])
             self.allocation = allocation
-        return self.allocation
-
-
-class _CellEnvironment:
-    """One batch row presented through the scalar engine's channel API.
-
-    Exposes the scalar :class:`~repro.sim.engine.AnalyticalEngine` setter
-    signatures for a single cell of a batched engine, so the shared fault
-    schedule (:func:`repro.faults.apply_fault_actions`) and actuating
-    controllers (brownout's service-level dimmer) drive the batched
-    engine through exactly the calls they make against a scalar one.
-    """
-
-    def __init__(self, engine: BatchedAnalyticalEngine, cell: int) -> None:
-        self._engine = engine
-        self._cell = cell
-
-    def set_capacity_scale(
-        self, scale: float, service: str | None = None
-    ) -> None:
-        self._engine.set_capacity_scale(self._cell, scale, service=service)
-
-    def set_demand_scale(
-        self, scale: float, service: str | None = None
-    ) -> None:
-        self._engine.set_demand_scale(self._cell, scale, service=service)
-
-    def set_service_level(self, level: float) -> None:
-        self._engine.set_service_level(self._cell, level)
-
-
-class _ManagerBank:
-    """Bank of scalar decision-makers (manager, PID, brownout cells).
-
-    The dynamic-range manager's decision logic is a per-cell state
-    machine over a growing range tree — not array math — and the PID and
-    brownout baselines are tiny per-cell feedback laws, so, in the
-    :class:`_OptimumBank` style, the bank keeps one *scalar* controller
-    per cell and only the engine observation is vectorized.  Each step
-    rebuilds the exact :class:`~repro.sim.types.IntervalMetrics` the
-    scalar control loop would pass (row ``i`` of a batched observation
-    is bit-identical to the scalar engine's), so every controller
-    consumes the same floats and the same private RNG stream as its
-    scalar run — decisions, range splits, dimmer writes, and captured
-    manager state included.
-    """
-
-    def __init__(self, managers: Sequence[Any], names: tuple[str, ...]) -> None:
-        self._managers = list(managers)
-        self._names = names
-        self.allocation = np.stack(
-            [m.allocation.as_array(names) for m in self._managers]
-        )
-        self._trace_cells: set[int] = set()
-        self.decision_info: dict[int, list] = {}
-
-    def enable_decision_trace(self, cells: Sequence[int]) -> None:
-        """Record each traced cell's manager decision info per step."""
-        for cell in cells:
-            self._trace_cells.add(int(cell))
-            self.decision_info.setdefault(int(cell), [])
-
-    def manager(self, cell: int) -> Any:
-        return self._managers[cell]
-
-    def step(self, obs: BatchObservation) -> np.ndarray:
-        rows = []
-        for i, manager in enumerate(self._managers):
-            metrics = IntervalMetrics(
-                latency_p95=float(obs.latency_p95[i]),
-                workload_rps=float(obs.workload_rps[i]),
-                services={
-                    name: ServiceMetrics(
-                        utilization=float(obs.utilization[i, j]),
-                        throttle_seconds=float(obs.throttle_seconds[i, j]),
-                        usage_cores=float(obs.usage_cores[i, j]),
-                        usage_p90_cores=float(obs.usage_p90_cores[i, j]),
-                    )
-                    for j, name in enumerate(self._names)
-                },
-                latency_mean=float(obs.latency_p95[i] / 1.6),
-            )
-            rows.append(manager.decide(metrics).as_array(self._names))
-            if i in self._trace_cells:
-                self.decision_info[i].append(capture_decision_info(manager))
-        self.allocation = np.stack(rows)
         return self.allocation
 
 
@@ -429,111 +373,23 @@ def _run_units_batched(
     # key, and ``None`` means every cell uses the engine default — the
     # same resolution the scalar engine factory performs.
     engine = BatchedAnalyticalEngine(app, engine_seeds, noise=noise_model)
-
-    if kind == "pema":
-        configs = [
-            PEMAConfig(**s.autoscaler.params) if s.autoscaler.params
-            else PEMAConfig()
-            for s in specs
-        ]
-        bank: PEMABatch | RuleBatch | _OptimumBank | _ManagerBank | None
-        bank = PEMABatch(names, slos, start, configs, seeds)
-        allocation = bank.allocation
-    elif kind in ("workload_aware_pema", "pid", "brownout"):
-        # Build each cell's controller through the registry factory,
-        # exactly as the scalar ``build_unit`` does (param handling,
-        # seeding convention, environment binding), so the bank's
-        # controllers are byte-equal.
-        managers = []
-        for i, s in enumerate(specs):
-            manager = AUTOSCALERS.build(
-                kind,
-                app,
-                Allocation.from_array(names, start[i]),
-                slos[i],
-                seed=seeds[i],
-                **s.autoscaler.params,
-            )
-            bind = getattr(manager, "bind_environment", None)
-            if callable(bind):
-                bind(_CellEnvironment(engine, i))
-            managers.append(manager)
-        bank = _ManagerBank(managers, names)
-        allocation = bank.allocation
-    elif kind == "rule":
-        scalers = [
-            RuleBasedAutoscaler(
-                Allocation.from_array(names, start[i]), **s.autoscaler.params
-            )
-            for i, s in enumerate(specs)
-        ]
-        bank = RuleBatch(start, scalers)
-        allocation = bank.allocation
-    elif kind == "optimum":
-        bank = _OptimumBank(
-            app,
-            [int(s.autoscaler.params.get("restarts", 2)) for s in specs],
-            start,
-        )
-        allocation = bank.allocation
-    else:  # static — the allocation is pinned at build time, never changes
-        bank = None
-        if any(s.autoscaler.params for s in specs):
-            # bottleneck_rps/scale cells pin a model-derived allocation;
-            # run each through the scalar registry factory so the pinned
-            # rows are byte-equal to ``build_unit``'s.
-            allocation = np.stack(
-                [
-                    AUTOSCALERS.build(
-                        kind,
-                        app,
-                        Allocation.from_array(names, start[i]),
-                        slos[i],
-                        seed=seeds[i],
-                        **s.autoscaler.params,
-                    ).allocation.as_array(names)
-                    for i, s in enumerate(specs)
-                ]
-            )
-        else:
-            allocation = start
+    bank = _build_bank(kind, app, specs, slos, seeds, start, engine)
 
     # Decision tracing: cells whose spec requested the channel record one
-    # info dict per step from their bank (PEMA/manager banks; other
-    # autoscaler kinds have no last_decision hook — None, as scalar).
-    trace_cells = [
-        i for i, s in enumerate(specs) if "decision_trace" in s.capture
-    ]
-    if trace_cells and isinstance(bank, (PEMABatch, _ManagerBank)):
-        bank.enable_decision_trace(trace_cells)
+    # info dict per step from their bank (banks whose autoscalers have no
+    # last_decision hook record None, as scalar).
+    bank.enable_decision_trace(
+        [i for i, s in enumerate(specs) if "decision_trace" in s.capture]
+    )
 
-    # Hook schedule: (cell, hook-kind, params), in spec order.  Timed
-    # setters fire at their step; engine faults consult the shared
-    # :func:`repro.faults.fault_actions` schedule every step and apply it
-    # through the cell's scalar-API facade; stream faults are delivery
-    # disturbances — offline no-ops, exactly as their scalar hooks.
-    cell_envs = [_CellEnvironment(engine, i) for i in range(n_cells)]
-    hook_entries = []
+    # Every spec hook is the registry closure the scalar loop runs, called
+    # with a view of its cell: the engine row through the scalar setter
+    # API, and the bank cell as the autoscaler.
+    hooks = []
     for i, spec in enumerate(specs):
+        view = SimpleNamespace(environment=engine.cell(i), autoscaler=bank.cell(i))
         for hook in spec.hooks:
-            if hook.kind in ENGINE_FAULT_KINDS:
-                hook_entries.append(
-                    (
-                        i,
-                        hook.kind,
-                        normalize_fault_params(hook.kind, dict(hook.params)),
-                    )
-                )
-            elif hook.kind in ("set_slo", "set_cpu_speed"):
-                hook_entries.append((i, hook.kind, dict(hook.params)))
-
-    fixed_slo = np.asarray(slos, dtype=np.float64)
-    resp = np.empty((n_steps, n_cells))
-    totals = np.empty((n_steps, n_cells))
-    workloads = np.empty((n_steps, n_cells))
-    slo_rec = np.empty((n_steps, n_cells))
-    violated = np.empty((n_steps, n_cells), dtype=bool)
-    alloc_hist: list[np.ndarray] = []
+            hooks.append((HOOKS.build(hook.kind, **hook.params), view))
 
     # Pre-evaluate every cell's whole rate series in one vectorized
     # ``rate_batch`` call (bit-identical to the per-step scalar calls —
@@ -547,107 +403,77 @@ def _run_units_batched(
         ],
         axis=1,
     )
-
+    history = StepHistory(names, intervals)
     for step in range(n_steps):
-        for cell, hook_kind, params in hook_entries:
-            if hook_kind == "set_slo":
-                if step == params["at"]:
-                    assert isinstance(bank, PEMABatch)
-                    bank.set_slo(cell, params["slo"])
-            elif hook_kind == "set_cpu_speed":
-                if step == params["at"]:
-                    engine.set_cpu_speed(cell, params["speed"])
-            else:
-                actions = fault_actions(hook_kind, params, step)
-                if actions:
-                    apply_fault_actions(cell_envs[cell], actions)
-        rates = rates_all[step]
-        obs = engine.observe(allocation, rates, intervals)
-        step_totals = allocation.sum(axis=1)
-        # The PEMA bank's SLO is live (set_slo hooks show up in records),
-        # like the scalar loop's live getter; others record the fixed SLO.
-        slo_now = bank.slo.copy() if isinstance(bank, PEMABatch) else fixed_slo
-        resp[step] = obs.latency_p95
-        totals[step] = step_totals
-        workloads[step] = rates
-        slo_rec[step] = slo_now
-        violated[step] = obs.latency_p95 > slo_now
-        alloc_hist.append(allocation.copy())
-        if isinstance(bank, PEMABatch):
-            allocation = bank.step(obs, step_totals)
-        elif isinstance(bank, RuleBatch):
-            allocation = bank.step(obs.usage_cores, obs.usage_p90_cores)
-        elif isinstance(bank, _OptimumBank):
-            allocation = bank.step(obs.workload_rps)
-        elif isinstance(bank, _ManagerBank):
-            allocation = bank.step(obs)
+        control_step(
+            step, engine, bank, rates_all[step], intervals, history, hooks
+        )
 
-    # Post-final-decide totals: step s's next_total_cpu is step s+1's
-    # recorded total; the last step reads the loop-exit allocation (the
-    # same row-sum the scalar loop's final ``allocation.total()`` takes).
-    final_totals = allocation.sum(axis=1)
-
-    payloads: list[dict[str, Any]] = []
-    for i in range(n_cells):
-        interval = intervals[i]
-        resp_col = resp[:, i].tolist()
-        total_col = totals[:, i].tolist()
-        work_col = workloads[:, i].tolist()
-        slo_col = slo_rec[:, i].tolist()
-        viol_col = violated[:, i].tolist()
-        alloc_rows = [alloc_hist[step][i].tolist() for step in range(n_steps)]
-        payload: dict[str, Any] = {
-            "records": [
-                {
-                    "step": step,
-                    "time": float(step * interval),
-                    "workload": work_col[step],
-                    "response": resp_col[step],
-                    "total_cpu": total_col[step],
-                    "violated": viol_col[step],
-                    "slo": slo_col[step],
-                    "allocation": [
-                        list(pair)
-                        for pair in zip(names, alloc_rows[step])
-                    ],
-                }
-                for step in range(n_steps)
-            ]
-        }
+    payloads = history.payloads(bank, [spec.capture for spec in specs])
+    for i, (spec, payload) in enumerate(zip(specs, payloads)):
         # The manager-state artifact channel, mirroring the scalar
         # worker: key present exactly when the spec requested it.
-        if "manager_state" in specs[i].capture:
-            payload["manager_state"] = (
-                capture_manager_state(bank.manager(i))
-                if isinstance(bank, _ManagerBank)
-                else None
-            )
-        if "decision_trace" in specs[i].capture:
-            infos = (
-                bank.decision_info.get(i)
-                if isinstance(bank, (PEMABatch, _ManagerBank))
-                else None
-            )
-            # Inline ``decision_record`` dict shape: the columns are
-            # already plain Python floats/bools (``.tolist()`` above), so
-            # the per-record coercion layer would only cost time here —
-            # this is the hot path the obs gate's overhead bound covers.
-            next_col = total_col[1:] + [float(final_totals[i])]
-            payload["decision_trace"] = [
-                {
-                    "step": step,
-                    "workload": work_col[step],
-                    "response": resp_col[step],
-                    "slo": slo_col[step],
-                    "violated": viol_col[step],
-                    "total_cpu": total_col[step],
-                    "next_total_cpu": next_col[step],
-                    "decision": infos[step] if infos is not None else None,
-                }
-                for step in range(n_steps)
-            ]
-        payloads.append(payload)
+        if "manager_state" in spec.capture:
+            payload["manager_state"] = capture_manager_state(bank.cell(i))
     return payloads
+
+
+def _build_bank(kind, app, specs, slos, seeds, start, engine) -> Bank:
+    """The decision bank for one batch group of autoscaler ``kind``."""
+    names = app.service_names
+    if kind == "pema":
+        configs = [
+            PEMAConfig(**s.autoscaler.params) if s.autoscaler.params
+            else PEMAConfig()
+            for s in specs
+        ]
+        return PEMABatch(names, slos, start, configs, seeds)
+    if kind == "rule":
+        scalers = [
+            RuleBasedAutoscaler(
+                Allocation.from_array(names, start[i]), **s.autoscaler.params
+            )
+            for i, s in enumerate(specs)
+        ]
+        return RuleBatch(start, scalers, slos)
+    if kind == "optimum":
+        return _OptimumBank(
+            app,
+            [int(s.autoscaler.params.get("restarts", 2)) for s in specs],
+            start,
+            slos,
+        )
+    # Build each scalar controller through the registry factory, exactly
+    # as the scalar ``build_unit`` does (param handling, seeding
+    # convention, environment binding), so the bank's controllers are
+    # byte-equal.
+    managers = []
+    for i, s in enumerate(specs):
+        manager = AUTOSCALERS.build(
+            kind,
+            app,
+            Allocation.from_array(names, start[i]),
+            slos[i],
+            seed=seeds[i],
+            **s.autoscaler.params,
+        )
+        bind = getattr(manager, "bind_environment", None)
+        if callable(bind):
+            bind(engine.cell(i))
+        managers.append(manager)
+    if kind == "static":
+        # The allocation is pinned at build time (the start, or a
+        # bottleneck_rps/scale model allocation) and never changes.
+        return _StaticBank(
+            np.stack([m.allocation.as_array(names) for m in managers]), slos
+        )
+    # Controllers with their own ``.slo`` drive the records live, like
+    # the scalar loop (so PID's ``set_slo`` hook shows up).
+    return ManagerBank(
+        managers,
+        names,
+        [None if hasattr(m, "slo") else slo for m, slo in zip(managers, slos)],
+    )
 
 
 def _run_batch_worker(units_data: Sequence[Sequence[Any]]) -> list[dict]:

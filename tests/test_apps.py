@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import CALIBRATIONS, app_names, build_app
 from repro.sim import AnalyticalEngine
+from repro.sim.engine import ReferenceAnalyticalEngine
 
 
 class TestRegistry:
@@ -90,7 +91,7 @@ class TestCalibration:
     def test_fig8_probe_utilizations(self):
         """seat/basic/ticketinfo bottleneck utilizations span ~15-25%."""
         app = build_app("trainticket")
-        engine = AnalyticalEngine(app)
+        engine = ReferenceAnalyticalEngine(app)
         wl = 200.0
         b = engine.bottleneck_allocation(wl)
         model = engine._concurrency(wl)

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.apps import build_app
 from repro.experiments import ExperimentSpec
 from repro.experiments.runner import _run_unit_worker
-from repro.sim import AnalyticalEngine, Allocation, BatchedAnalyticalEngine
+from repro.sim import Allocation, BatchedAnalyticalEngine
+from repro.sim.engine import ReferenceAnalyticalEngine
 from repro.sim.latency import end_to_end_latency, end_to_end_latency_batch
 from repro.sweeps import (
     SweepGrid,
@@ -67,12 +68,19 @@ class TestBatchedEngine:
         alloc = rng.uniform(0.1, 5.0, (3, sockshop_app.n_services))
 
         batch = BatchedAnalyticalEngine(sockshop_app, seeds)
-        scalars = [AnalyticalEngine(sockshop_app, seed=s) for s in seeds]
+        scalars = [ReferenceAnalyticalEngine(sockshop_app, seed=s) for s in seeds]
         for i, speed in enumerate(speeds):
             batch.set_cpu_speed(i, speed)
             scalars[i].set_cpu_speed(speed)
 
-        for _ in range(3):  # several intervals: RNG streams must track
+        for step in range(4):  # several intervals: RNG streams must track
+            if step == 2:
+                # Fault channels, set through each cell's scalar setter API.
+                for i, engine in enumerate(scalars):
+                    for target in (batch.cell(i), engine):
+                        target.set_capacity_scale(0.5, service="carts")
+                        target.set_demand_scale(1.0 + 0.1 * i)
+                        target.set_service_level(0.9)
             obs = batch.observe(alloc, workloads, intervals)
             for i, engine in enumerate(scalars):
                 metrics = engine.observe(
@@ -164,6 +172,20 @@ class TestUnitEquivalence:
                           "params": {"at": 2, "speed": 1.111}}]), 0),
         ]
         assert_units_byte_identical(units)
+
+    def test_pid_cells_with_set_slo(self):
+        # PID has set_slo and a live .slo, so its SLO hook batches too;
+        # the records must carry the tightened SLO exactly as scalar.
+        units = [
+            (spec(n_steps=8, autoscaler={"kind": "pid"},
+                  capture=["decision_trace", "manager_state"],
+                  hooks=[{"kind": "set_slo",
+                          "params": {"at": 3, "slo": 0.2}}]), 0),
+            (spec(n_steps=8, workload=500.0, autoscaler={"kind": "pid"}), 0),
+        ]
+        assert_units_byte_identical(units)
+        slos = [r["slo"] for r in run_units_batched(units[:1])[0]["records"]]
+        assert slos[3:] == [0.2] * 5 and slos[0] != 0.2
 
     def test_violation_rollback_path(self):
         # A tight SLO forces violations, exercising taint + rollback +
@@ -266,7 +288,7 @@ class TestBatchKey:
         assert batch_fallback_reason(
             spec(autoscaler={"kind": "rule"},
                  hooks=[{"kind": "set_slo", "params": {"at": 1, "slo": 0.2}}])
-        ) == "set_slo_without_pema"
+        ) == "set_slo_unsupported"
         assert batch_fallback_reason(
             spec(hooks=[{"kind": "set_slo", "params": {"at": 1}}])
         ) == "hook_params:set_slo"

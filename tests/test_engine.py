@@ -134,3 +134,50 @@ class TestOperatingConditions:
         engine.set_cpu_speed(0.5)
         b2 = engine.bottleneck_allocation(100.0).total()
         assert b2 > b1  # slower CPU needs more cores
+
+
+class TestFacadeMatchesOracle:
+    @pytest.mark.parametrize(
+        "name", ["sockshop", "trainticket", "hotelreservation"]
+    )
+    def test_observe_equals_reference(self, name):
+        # The facade runs a one-cell batched engine; the closed-form
+        # scalar oracle must see the very same IntervalMetrics.
+        from repro.apps import build_app
+        from repro.sim.engine import ReferenceAnalyticalEngine
+
+        app = build_app(name)
+        facade = AnalyticalEngine(app, seed=11)
+        oracle = ReferenceAnalyticalEngine(app, seed=11)
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            alloc = Allocation.from_array(
+                app.service_names, rng.uniform(0.05, 6.0, app.n_services)
+            )
+            rate = float(rng.uniform(0.0, 1200.0))
+            assert facade.observe(alloc, rate) == oracle.observe(alloc, rate)
+
+    def test_control_loop_run_equals_reference(self):
+        # A full PEMA run through the facade (direct one-cell batched
+        # path) must match the same run observed through the oracle (the
+        # scalar-environment adapter path) byte for byte.
+        import json
+
+        from repro.apps import build_app
+        from repro.core import ControlLoop, PEMAController
+        from repro.metrics.export import loop_result_to_dict
+        from repro.sim.engine import ReferenceAnalyticalEngine
+        from repro.workload import SinusoidalWorkload
+
+        app = build_app("sockshop")
+
+        def run(engine_cls):
+            controller = PEMAController(
+                app.service_names, app.slo, app.generous_allocation(700.0),
+                seed=3,
+            )
+            trace = SinusoidalWorkload(low=500.0, high=800.0, period=1800.0)
+            loop = ControlLoop(engine_cls(app, seed=4), controller, trace)
+            return json.dumps(loop_result_to_dict(loop.run(40)))
+
+        assert run(AnalyticalEngine) == run(ReferenceAnalyticalEngine)

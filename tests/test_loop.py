@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import StaticAllocator
-from repro.cluster import Cluster
 from repro.core import ControlLoop, PEMAConfig, PEMAController
-from repro.metrics import MetricsCollector
 from repro.sim import AnalyticalEngine, NoiseModel
 from repro.workload import ConstantWorkload, StepWorkload
 
@@ -97,19 +95,32 @@ class TestViolations:
 
 
 class TestIntegrationPieces:
-    def test_collector_populated(self, tiny_app):
-        collector = MetricsCollector()
-        loop = make_loop(tiny_app, collector=collector)
-        loop.run(5)
-        assert len(collector.store.series("latency_p95")) == 5
-        assert len(collector.store.series("cpu_allocation", service="front")) == 5
+    def test_scalar_environment_metrics_reach_autoscaler_unchanged(
+        self, tiny_app
+    ):
+        # Non-analytical environments enter the control step through the
+        # one-cell adapter, which must hand over their own metrics object.
+        inner = AnalyticalEngine(tiny_app, seed=1)
+        served, seen = [], []
 
-    def test_cluster_applied(self, tiny_app):
-        cluster = Cluster()
-        loop = make_loop(tiny_app, cluster=cluster)
-        loop.run(5)
-        assert cluster.resize_count == 5
-        assert cluster.allocation().total() > 0
+        class Recording:
+            app = tiny_app
+
+            def observe(self, allocation, workload_rps, interval=120.0):
+                served.append(inner.observe(allocation, workload_rps, interval))
+                return served[-1]
+
+        class Watching(StaticAllocator):
+            def decide(self, metrics):
+                seen.append(metrics)
+                return super().decide(metrics)
+
+        static = Watching(tiny_app.uniform_allocation(1.0))
+        result = ControlLoop(
+            Recording(), static, ConstantWorkload(100.0), slo=tiny_app.slo
+        ).run(3)
+        assert len(seen) == 3 and all(a is b for a, b in zip(seen, served))
+        assert result.responses.tolist() == [m.latency_p95 for m in served]
 
     def test_hook_sees_loop(self, tiny_app):
         seen = []

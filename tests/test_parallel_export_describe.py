@@ -57,12 +57,11 @@ class TestRunParallel:
 
 
 class TestExport:
-    def _run(self, tiny_app, collector=None):
+    def _run(self, tiny_app):
         engine = AnalyticalEngine(tiny_app, seed=1)
         static = StaticAllocator(tiny_app.generous_allocation(100.0))
         loop = ControlLoop(
-            engine, static, ConstantWorkload(100.0), slo=tiny_app.slo,
-            collector=collector,
+            engine, static, ConstantWorkload(100.0), slo=tiny_app.slo
         )
         return loop.run(5)
 
@@ -85,7 +84,11 @@ class TestExport:
 
     def test_store_csv(self, tiny_app, tmp_path):
         collector = MetricsCollector()
-        self._run(tiny_app, collector=collector)
+        engine = AnalyticalEngine(tiny_app, seed=1)
+        allocation = tiny_app.generous_allocation(100.0)
+        for step in range(5):
+            t = step * 120.0
+            collector.collect(t, allocation, engine.observe(allocation, 100.0))
         path = tmp_path / "metrics.csv"
         rows = store_to_csv(collector.store, path)
         assert rows > 0

@@ -140,3 +140,18 @@ class TestAppSpec:
         assert tiny_app.service("front").tier == "frontend"
         with pytest.raises(KeyError):
             tiny_app.service("zzz")
+
+
+class TestImportCost:
+    def test_import_repro_leaves_networkx_unloaded(self):
+        # networkx serves AppSpec.graph() alone; `import repro` must not
+        # pay for it.
+        import subprocess
+        import sys
+
+        code = "import sys, repro; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
