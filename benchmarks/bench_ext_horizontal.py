@@ -18,9 +18,16 @@ import numpy as np
 
 from benchmarks._report import emit
 from repro.apps import build_app
-from repro.bench import format_table, optimum_total, pema_run, rule_total
+from repro.bench import format_table
 from repro.cluster import HorizontalRuleAutoscaler, ReplicaAllocator
 from repro.core import ControlLoop
+from repro.experiments import (
+    ExperimentSpec,
+    derive_rule_spec,
+    optimum_total,
+    run_experiment,
+    run_unit,
+)
 from repro.sim import AnalyticalEngine
 from repro.workload import ConstantWorkload
 
@@ -52,8 +59,13 @@ def run_ext_horizontal():
                 f"{result.violation_rate() * 100:.0f}%",
             ]
         )
-    vertical_rule = rule_total("trainticket", WORKLOAD)
-    pema = pema_run("trainticket", WORKLOAD, 60, seed=401).result.settled_total()
+    pema_spec = ExperimentSpec(
+        app="trainticket", workload=WORKLOAD, n_steps=60, seed=401
+    )
+    vertical_rule = run_experiment(
+        derive_rule_spec(pema_spec)
+    ).mean_settled_total()
+    pema = run_unit(pema_spec).result.settled_total()
     opt = optimum_total("trainticket", WORKLOAD)
     rows.append(["RULE (vertical)", round(vertical_rule, 1), "-", "-", "-"])
     rows.append(["PEMA (vertical)", round(pema, 1), "-", "-", "-"])

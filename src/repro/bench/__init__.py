@@ -1,31 +1,5 @@
-"""Benchmark harness: experiment drivers and report formatting."""
+"""Report formatting for the benchmark suite and sweep summaries."""
 
-from repro.bench.parallel import (
-    default_workers,
-    parallel_pema_totals,
-    run_parallel,
-)
-from repro.bench.runner import (
-    PEMARun,
-    average_pema_total,
-    clear_caches,
-    optimum_total,
-    pema_run,
-    rule_total,
-)
 from repro.bench.tables import format_kv, format_series, format_table
 
-__all__ = [
-    "run_parallel",
-    "parallel_pema_totals",
-    "default_workers",
-    "pema_run",
-    "PEMARun",
-    "optimum_total",
-    "rule_total",
-    "average_pema_total",
-    "clear_caches",
-    "format_table",
-    "format_series",
-    "format_kv",
-]
+__all__ = ["format_table", "format_series", "format_kv"]

@@ -363,6 +363,11 @@ def _error(reason: object) -> int:
     return 2
 
 
+def _reason(exc: BaseException) -> object:
+    """An exception's message; KeyError's str() wraps it in quotes."""
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+
+
 def _spec_paths(pattern: str) -> list[Path]:
     """Expand ``--spec``: a file, a directory of specs, or a glob."""
     path = Path(pattern)
@@ -374,6 +379,22 @@ def _spec_paths(pattern: str) -> list[Path]:
             for match in sorted(_glob.glob(pattern, recursive=True))
         ]
     return [path]
+
+
+def _load_specs(pattern: str) -> list[tuple[Path, ExperimentSpec]] | int:
+    """Read and validate every ``--spec`` file (an exit code on error)."""
+    paths = _spec_paths(pattern)
+    if not paths:
+        return _error(f"no spec files match {pattern!r}")
+    loaded: list[tuple[Path, ExperimentSpec]] = []
+    for path in paths:
+        try:
+            spec = ExperimentSpec.from_json(path.read_text())
+            spec.validate()
+        except (OSError, TypeError, ValueError, KeyError) as exc:
+            return _error(f"{path}: {_reason(exc)}")
+        loaded.append((path, spec))
+    return loaded
 
 
 def _run_one_experiment(
@@ -401,26 +422,16 @@ def _run_one_experiment(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    paths = _spec_paths(args.spec)
-    if not paths:
-        return _error(f"no spec files match {args.spec!r}")
-    specs: list[ExperimentSpec] = []
-    for path in paths:
-        try:
-            spec = ExperimentSpec.from_json(Path(path).read_text())
-            spec.validate()
-        except (OSError, TypeError, ValueError, KeyError) as exc:
-            # KeyError's str() wraps its message in quotes; unwrap.
-            reason = (
-                exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            )
-            return _error(f"{path}: {reason}")
-        if args.compare and spec.autoscaler.kind != "pema":
-            return _error(f"{path}: --compare needs a pema spec")
-        specs.append(spec)
+    loaded = _load_specs(args.spec)
+    if isinstance(loaded, int):
+        return loaded
+    if args.compare:
+        for path, spec in loaded:
+            if spec.autoscaler.kind != "pema":
+                return _error(f"{path}: --compare needs a pema spec")
     # With several specs, --out names a directory of per-spec artifacts.
     out_dir: Path | None = None
-    if args.out and (len(specs) > 1 or Path(args.out).is_dir()):
+    if args.out and (len(loaded) > 1 or Path(args.out).is_dir()):
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -431,13 +442,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             )
     status = 0
     used_names: dict[str, int] = {}
-    for path, spec in zip(paths, specs):
+    for path, spec in loaded:
         out: Path | None = None
         if args.out:
             if out_dir is not None:
                 # Same-stem specs from different directories must not
                 # clobber each other's artifacts.
-                stem = Path(path).stem
+                stem = path.stem
                 n = used_names[stem] = used_names.get(stem, 0) + 1
                 name = stem if n == 1 else f"{stem}-{n}"
                 out = out_dir / f"{name}.artifact.json"
@@ -447,16 +458,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return status
 
 
-def _sweep_worker(args: argparse.Namespace, cells, store, batch: bool) -> int:
+def _sweep_worker(args: argparse.Namespace, cells, store, batch: bool,
+                  lease_ttl: float) -> int:
     """``repro sweep --worker``: one pull worker over the shared store."""
-    from repro.sweeps.distributed import DEFAULT_LEASE_TTL, run_worker
+    from repro.sweeps.distributed import run_worker
 
     if args.out:
         return _error("--out needs the merged run: use --coordinator "
                       "(workers only compute and persist units)")
-    lease_ttl = (
-        args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL
-    )
 
     def on_task(stage, task) -> None:
         if stage != "unit":
@@ -496,17 +505,10 @@ def _sweep_worker(args: argparse.Namespace, cells, store, batch: bool) -> int:
 
 
 def _sweep_coordinate(args: argparse.Namespace, grid, cells, store,
-                      batch: bool):
+                      batch: bool, lease_ttl: float):
     """``repro sweep --coordinator``: spawn/await workers, then merge."""
-    from repro.sweeps.distributed import (
-        DEFAULT_LEASE_TTL,
-        run_distributed,
-        wait_for_grid,
-    )
+    from repro.sweeps.distributed import run_distributed, wait_for_grid
 
-    lease_ttl = (
-        args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL
-    )
     if args.workers:
         run, reports = run_distributed(
             grid,
@@ -546,6 +548,7 @@ def _sweep_coordinate(args: argparse.Namespace, grid, cells, store,
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweeps import (
+        DEFAULT_LEASE_TTL,
         SweepGrid,
         SweepStore,
         cells_table,
@@ -560,8 +563,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for cell in cells:
             cell.spec.validate()
     except (OSError, TypeError, ValueError, KeyError) as exc:
-        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        return _error(reason)
+        return _error(_reason(exc))
     if args.resume and not args.cache:
         return _error("--resume needs --cache")
     if args.parallel < 1:
@@ -579,6 +581,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return _error("--workers must be >= 0")
     if args.lease_ttl is not None and args.lease_ttl <= 0:
         return _error("--lease-ttl must be > 0")
+    lease_ttl = (
+        args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL
+    )
     store = SweepStore(args.cache) if args.cache else None
     batch = args.batch if args.batch is not None else env_batch_default()
     units = sum(cell.spec.repeats for cell in cells)
@@ -587,7 +592,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           + (f", cache {store.root}" if store is not None else ""))
 
     if args.worker:
-        return _sweep_worker(args, cells, store, batch)
+        return _sweep_worker(args, cells, store, batch, lease_ttl)
 
     from repro.experiments import optimum_cache_info
 
@@ -620,7 +625,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         if args.coordinator:
-            run = _sweep_coordinate(args, grid, cells, store, batch)
+            run = _sweep_coordinate(
+                args, grid, cells, store, batch, lease_ttl
+            )
         else:
             run = run_grid(
                 grid,
@@ -707,21 +714,13 @@ def _load_service_specs(
     specs); same-id collisions get ``-2``/``-3`` suffixes so every
     matched file registers.
     """
-    paths = _spec_paths(pattern)
-    if not paths:
-        return _error(f"no spec files match {pattern!r}")
+    loaded = _load_specs(pattern)
+    if isinstance(loaded, int):
+        return loaded
     apps: list[tuple[str, ExperimentSpec]] = []
     used: dict[str, int] = {}
-    for path in paths:
-        try:
-            spec = ExperimentSpec.from_json(Path(path).read_text())
-            spec.validate()
-        except (OSError, TypeError, ValueError, KeyError) as exc:
-            reason = (
-                exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            )
-            return _error(f"{path}: {reason}")
-        base = spec.name or Path(path).stem
+    for path, spec in loaded:
+        base = spec.name or path.stem
         n = used[base] = used.get(base, 0) + 1
         apps.append((base if n == 1 else f"{base}-{n}", spec))
     return apps
@@ -756,8 +755,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             backend = STATE_STORES.build(store_kind)
     except (KeyError, TypeError, ValueError) as exc:
-        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        return _error(reason)
+        return _error(_reason(exc))
 
     runtime = ServiceRuntime(
         store=ServiceStateStore(backend, snapshot_every=args.snapshot_every),
@@ -911,8 +909,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         lo, hi = _parse_step_range(args.steps)
         records = _load_trace_records(args)
     except (OSError, ValueError, LookupError, KeyError, TypeError) as exc:
-        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        return _error(reason)
+        return _error(_reason(exc))
     selected = []
     for record in records:
         step = record.get("step")

@@ -4,7 +4,7 @@
 autoscaler -> trace -> loop, run it); ``run_experiment`` runs every
 repeat and returns an :class:`ExperimentArtifact`; ``run_sweep`` fans a
 list of specs out over processes at (spec, repeat) granularity via
-:mod:`repro.bench.parallel`.  Serial and parallel execution build every
+:func:`run_parallel`.  Serial and parallel execution build every
 component fresh from the serialized spec, so their artifacts are
 byte-identical.
 
@@ -14,13 +14,14 @@ gets ``seed_r`` and the engine gets ``seed_r + engine.seed_offset``.
 
 ``run_comparison`` evaluates one Fig. 15 cell — PEMA (averaged over the
 spec's repeats) vs the noiseless optimum vs the rule-based baseline —
-from a single PEMA spec, and is the one code path behind both the CLI
-``compare`` command and the ``bench.runner`` helpers.
+from a single PEMA spec, and is the one code path behind the CLI
+``compare`` command.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from repro.experiments.spec import (
     EngineSpec,
     ExperimentSpec,
 )
-from repro.metrics.export import loop_result_from_dict, loop_result_to_dict
+from repro.metrics.export import loop_result_to_dict
 from repro.obs.metrics import default_registry
 from repro.sim.environment import Environment
 from repro.workload.trace import WorkloadTrace
@@ -48,6 +49,7 @@ __all__ = [
     "hooks_on_step",
     "run_unit",
     "run_experiment",
+    "run_parallel",
     "run_sweep",
     "run_comparison",
     "derive_rule_spec",
@@ -245,6 +247,39 @@ def _run_unit_worker(spec_data: dict[str, Any], repeat: int) -> dict[str, Any]:
     return payload
 
 
+def run_parallel(
+    fn: Callable[..., Any],
+    kwargs_list: Sequence[dict],
+    *,
+    max_workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
+) -> list[Any]:
+    """Run ``fn(**kwargs)`` for every kwargs dict, possibly in parallel.
+
+    ``fn`` must be picklable (module-level, like :func:`_run_unit_worker`).
+    Results come back in the order of ``kwargs_list``; exceptions
+    propagate.  ``max_workers=1`` runs inline (useful under debuggers and
+    coverage).  Callers that fan out many small batches (the chunked
+    sweep scheduler) pass their own long-lived ``pool`` so worker
+    processes are spawned once, not once per batch; ``max_workers`` is
+    ignored in that case.
+    """
+    if not kwargs_list:
+        return []
+    if pool is not None:
+        futures = [pool.submit(fn, **kw) for kw in kwargs_list]
+        return [f.result() for f in futures]
+    if max_workers < 1:
+        raise ValueError("max_workers must be >= 1")
+    if max_workers == 1 or len(kwargs_list) == 1:
+        return [fn(**kw) for kw in kwargs_list]
+    with ProcessPoolExecutor(
+        max_workers=min(max_workers, len(kwargs_list))
+    ) as pool:
+        futures = [pool.submit(fn, **kw) for kw in kwargs_list]
+        return [f.result() for f in futures]
+
+
 def run_sweep(
     specs: Sequence[ExperimentSpec] | Iterable[ExperimentSpec],
     *,
@@ -256,8 +291,6 @@ def run_sweep(
     runs inline or in a worker process, so ``parallel=1`` and
     ``parallel=N`` produce byte-identical artifacts.
     """
-    from repro.bench.parallel import run_parallel
-
     specs = list(specs)
     kwargs_list = [
         dict(spec_data=spec.to_dict(), repeat=r)

@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.bench.parallel import run_parallel
 from repro.experiments.artifact import ExperimentArtifact
 from repro.experiments.runner import (
     _run_unit_worker,
     optimum_cache_info,
     optimum_store,
+    run_parallel,
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.obs.metrics import Histogram, default_registry
@@ -301,7 +301,9 @@ def run_sweep_cached(
     load_started = perf_counter()
     for spec_index, spec, repeat in tasks:
         payload = (
-            store.get_result(spec, repeat) if store and reuse else None
+            store.get_result(spec, repeat)
+            if store is not None and reuse
+            else None
         )
         if payload is not None:
             results[(spec_index, repeat)] = payload

@@ -156,23 +156,9 @@ class JsonDirectoryStore:
     def put_raw(self, key_obj: Any, payload: Any) -> Path:
         """Atomically persist ``payload`` under ``key_obj``."""
         path = self.path_for(key_obj)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"format": _FORMAT, "key": key_obj, "payload": payload}
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.stem[:16]}.", suffix=".tmp"
+        _write_json_replace(
+            path, {"format": _FORMAT, "key": key_obj, "payload": payload}
         )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh, sort_keys=True, allow_nan=False)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         self.stats.writes += 1
         _STORE_WRITES.inc()
         return path
@@ -208,9 +194,10 @@ class JsonDirectoryStore:
 def _write_json_replace(path: Path, payload: Any) -> None:
     """Atomically (re)write ``path`` with a JSON payload.
 
-    Same temp-file-in-target-directory + ``os.replace`` discipline as
-    cache entries: a reader never observes a half-written file, and
-    concurrent writers leave exactly one winner's bytes.
+    The temp file lives in the target directory and is fsynced before
+    the ``os.replace``, so a reader never observes a half-written file
+    and concurrent writers leave exactly one winner's bytes.  Cache
+    entries and lease files both go through here.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(

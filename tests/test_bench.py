@@ -1,16 +1,13 @@
-"""Benchmark harness: formatting and experiment drivers."""
+"""Benchmark harness: report formatting and the figure-cell runners."""
 
 import pytest
 
-from repro.bench import (
-    average_pema_total,
-    clear_caches,
-    format_kv,
-    format_series,
-    format_table,
+from repro.bench import format_kv, format_series, format_table
+from repro.experiments import (
+    ExperimentSpec,
+    derive_rule_spec,
     optimum_total,
-    pema_run,
-    rule_total,
+    run_experiment,
 )
 
 
@@ -44,24 +41,10 @@ class TestFormatting:
 
 
 class TestRunners:
-    def test_pema_run_structure(self):
-        run = pema_run("sockshop", 700.0, 10, seed=0)
-        assert len(run.result) == 10
-        assert run.app.name == "sockshop"
-        assert run.controller.steps_taken == 10
-
-    def test_optimum_total_cached(self):
-        clear_caches()
-        a = optimum_total("sockshop", 700.0)
-        b = optimum_total("sockshop", 700.0)  # cache hit
-        assert a == b
-        assert 6.0 < a < 12.0  # near the paper's 8.8
-
     def test_rule_total_above_optimum(self):
-        rule = rule_total("sockshop", 700.0, n_steps=20)
+        spec = ExperimentSpec(app="sockshop", workload=700.0, n_steps=10)
+        rule = run_experiment(
+            derive_rule_spec(spec, n_steps=20)
+        ).mean_settled_total()
         opt = optimum_total("sockshop", 700.0)
         assert rule > opt
-
-    def test_average_pema_total(self):
-        avg = average_pema_total("sockshop", 700.0, n_steps=25, runs=2)
-        assert avg > 0

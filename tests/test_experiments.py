@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.bench.runner import average_pema_total, pema_spec, rule_spec, rule_total
 from repro.experiments import (
     AUTOSCALERS,
     ENGINES,
@@ -296,31 +295,21 @@ class TestHooks:
 
 
 class TestBenchEquivalence:
-    def test_average_pema_total_matches_spec_path(self):
-        spec = pema_spec("sockshop", 700.0, 10, seed=3, repeats=2)
-        assert average_pema_total(
-            "sockshop", 700.0, n_steps=10, runs=2, base_seed=3
-        ) == run_experiment(spec).mean_settled_total()
-
-    def test_rule_total_matches_spec_path(self):
-        spec = rule_spec("sockshop", 700.0, n_steps=12)
-        assert rule_total(
-            "sockshop", 700.0, n_steps=12
-        ) == run_experiment(spec).mean_settled_total()
-
     def test_comparison_single_code_path(self):
-        spec = pema_spec("sockshop", 700.0, 10, seed=0, repeats=1)
+        spec = ExperimentSpec(app="sockshop", workload=700.0, n_steps=10)
         cell = run_comparison(spec, rule_steps=12)
-        assert cell["rule_total"] == rule_total(
-            "sockshop", 700.0, n_steps=12
-        )
+        assert cell["rule_total"] == run_experiment(
+            derive_rule_spec(spec, n_steps=12)
+        ).mean_settled_total()
         assert cell["pema_total"] == run_experiment(spec).mean_settled_total()
         assert cell["pema_savings_vs_rule"] == pytest.approx(
             1.0 - cell["pema_total"] / cell["rule_total"]
         )
 
     def test_derive_rule_spec(self):
-        spec = pema_spec("sockshop", 700.0, 10, seed=42)
+        spec = ExperimentSpec(
+            app="sockshop", workload=700.0, n_steps=10, seed=42
+        )
         rule = derive_rule_spec(spec, n_steps=12)
         assert rule.autoscaler.kind == "rule"
         assert rule.engine.seed_offset == 2000

@@ -3,13 +3,12 @@
 import csv
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.apps import build_app, describe_app, describe_plan
-from repro.bench import parallel_pema_totals, run_parallel
 from repro.baselines import StaticAllocator
 from repro.core import ControlLoop
+from repro.experiments.runner import run_parallel
 from repro.metrics import (
     MetricsCollector,
     loop_result_to_csv,
@@ -40,20 +39,6 @@ class TestRunParallel:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_parallel(_square, [{"x": 1.0}], max_workers=0)
-
-    def test_parallel_pema_totals_deterministic(self):
-        a = parallel_pema_totals(
-            "sockshop", 700.0, n_steps=15, runs=2, max_workers=1
-        )
-        b = parallel_pema_totals(
-            "sockshop", 700.0, n_steps=15, runs=2, max_workers=2
-        )
-        np.testing.assert_allclose(a, b)
-        assert a.shape == (2,)
-
-    def test_runs_validation(self):
-        with pytest.raises(ValueError):
-            parallel_pema_totals("sockshop", 700.0, runs=0)
 
 
 class TestExport:

@@ -279,6 +279,23 @@ class TestScheduler:
         assert warm.report.computed == 0
         assert grid_summary_json(warm) == grid_summary_json(cold)
 
+    def test_warm_run_never_lists_store(self, tmp_path, monkeypatch):
+        """Reuse probes each unit's key; it never globs the whole store
+        (which made a warm re-run quadratic in the store size)."""
+        store = SweepStore(tmp_path)
+        grid = small_grid()
+        cold = run_grid(grid, store=store)
+        # An empty store is probed like any other: every unit misses.
+        assert store.stats.misses == cold.report.units == 8
+
+        def listing(self):
+            raise AssertionError("sweep listed the whole store")
+
+        monkeypatch.setattr(SweepStore, "entry_paths", listing)
+        warm = run_grid(grid, store=store)
+        assert warm.report.cache_hits == warm.report.units == 8
+        assert grid_summary_json(warm) == grid_summary_json(cold)
+
     def test_reuse_false_refreshes(self, tmp_path):
         store = SweepStore(tmp_path)
         grid = small_grid()
