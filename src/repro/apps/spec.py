@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -255,7 +255,7 @@ class AppSpec:
         return Allocation({name: cpu_per_service for name in self.service_names})
 
     def generous_allocation(
-        self, workload_rps: float, headroom: float = 2.0, minimum: float = 0.2
+        self, workload_rps: float, headroom: float = 2.0
     ) -> Allocation:
         """A comfortably over-provisioned starting allocation.
 
@@ -263,15 +263,31 @@ class AppSpec:
         manager and has abundant slack.  We give every service ``headroom``
         times a high quantile of its concurrency demand.
         """
-        from repro.sim.concurrency import ConcurrencyModel
+        (row,) = self.generous_allocations([workload_rps], [headroom])
+        return Allocation.from_array(self.service_names, row)
 
-        if workload_rps < 0:
+    def generous_allocations(
+        self, workloads: Sequence[float], headrooms: Sequence[float]
+    ) -> np.ndarray:
+        """:meth:`generous_allocation` for many cells in one array pass.
+
+        Row ``i`` is the start for ``workloads[i]`` at ``headrooms[i]``: the
+        Gamma concurrency bottleneck at the 97th percentile, scaled by the
+        headroom and floored at 0.2 cores.  Returns a ``(B, S)`` array in
+        service order.
+        """
+        from repro.sim.concurrency import gamma_quantile
+
+        rates = np.asarray(workloads, dtype=np.float64)
+        if np.any(rates < 0):
             raise ValueError("workload must be >= 0")
-        model = ConcurrencyModel(
-            mean=workload_rps * self.visit_array() * self.demand_array()
-            + self.baseline_array(),
-            burstiness=self.burstiness_array(),
+        mean = (
+            rates[:, None] * self.visit_array() * self.demand_array()
+            + self.baseline_array()
         )
-        base = model.bottleneck(p_crit=0.97)
-        values = np.maximum(base * headroom, minimum)
-        return Allocation.from_array(self.service_names, values)
+        burst = self.burstiness_array()
+        shape = np.where(mean > 1e-12, mean / burst, 0.0)
+        base = gamma_quantile(0.97, shape, burst)
+        return np.maximum(
+            base * np.asarray(headrooms, dtype=np.float64)[:, None], 0.2
+        )

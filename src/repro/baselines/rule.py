@@ -95,14 +95,12 @@ class RuleBatch:
     """
 
     def __init__(
-        self,
-        allocations: np.ndarray,
-        scalers: "list[RuleBasedAutoscaler]",
-        slos: "list[float]",
+        self, scalers: "list[RuleBasedAutoscaler]", slos: "list[float]"
     ) -> None:
-        self.allocation = np.array(allocations, dtype=np.float64)
-        if self.allocation.ndim != 2 or len(scalers) != self.allocation.shape[0]:
-            raise ValueError("allocations must be (B, S) with one scaler per row")
+        names = scalers[0].allocation.names
+        self.allocation = np.stack(
+            [s.allocation.as_array(names) for s in scalers]
+        )
         self.slo = np.asarray(slos, dtype=np.float64)
         self.decision_info: dict[int, list] = {}
         self._scalers = scalers

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import PEMAConfig
+from repro.core.controller import PEMAController
 from repro.core.selection import select_targets
 from repro.sim.batched import BatchObservation
 
@@ -61,31 +61,22 @@ def _window_mean(window: list) -> float:
 class PEMABatch:
     """A bank of ``B`` PEMA controllers over one shared service set."""
 
-    def __init__(
-        self,
-        services: Sequence[str],
-        slos: Sequence[float],
-        allocations: np.ndarray,
-        configs: Sequence[PEMAConfig],
-        seeds: Sequence[int],
-    ) -> None:
-        self.services = tuple(services)
+    def __init__(self, controllers: Sequence[PEMAController]) -> None:
+        """Stack already-built (hence validated) scalar controllers.
+
+        Cell ``i`` takes controller ``i``'s SLO, current allocation,
+        config and RNG stream — the ``default_rng(seed)`` it was built
+        with, not yet drawn from — so it replays that controller's run.
+        """
+        self.services = controllers[0].services
         self._index = {name: j for j, name in enumerate(self.services)}
-        n_cells = len(configs)
-        allocations = np.array(allocations, dtype=np.float64)
-        if allocations.shape != (n_cells, len(self.services)):
-            raise ValueError(
-                f"allocations must be ({n_cells}, {len(self.services)}): "
-                f"{allocations.shape}"
-            )
-        if not (len(slos) == len(seeds) == n_cells):
-            raise ValueError("slos/configs/seeds lengths must agree")
-        self.slo = np.asarray([float(s) for s in slos], dtype=np.float64)
-        if np.any(self.slo <= 0):
-            raise ValueError("slo must be positive")
-        self.allocation = allocations
-        self.configs = tuple(configs)
-        self.rngs = [np.random.default_rng(int(s)) for s in seeds]
+        n_cells = len(controllers)
+        self.slo = np.asarray([c.slo for c in controllers], dtype=np.float64)
+        self.allocation = np.stack(
+            [c.allocation.as_array(self.services) for c in controllers]
+        )
+        self.configs = tuple(c.config for c in controllers)
+        self.rngs = [c.rng for c in controllers]
 
         cfg = self.configs
         self._alpha = np.asarray([c.alpha for c in cfg])
@@ -99,7 +90,7 @@ class PEMABatch:
         self._use_filter = np.asarray([c.use_bottleneck_filter for c in cfg])
         self._dynamic = np.asarray([c.use_dynamic_thresholds for c in cfg])
 
-        shape = allocations.shape
+        shape = self.allocation.shape
         self.util_th = np.empty(shape)
         self.util_th[:] = np.asarray([c.init_util_threshold for c in cfg])[:, None]
         self.thr_th = np.empty(shape)

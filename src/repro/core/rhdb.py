@@ -20,7 +20,10 @@ import numpy as np
 
 from repro.sim.types import Allocation
 
-__all__ = ["RHDbRecord", "ResourceHistoryDB"]
+__all__ = ["RHDB_MAX_RECORDS", "RHDbRecord", "ResourceHistoryDB"]
+
+#: Default trim point: past this many records the oldest are dropped.
+RHDB_MAX_RECORDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class RHDbRecord:
 class ResourceHistoryDB:
     """Append-only in-memory history with the two PEMA queries."""
 
-    def __init__(self, max_records: int = 100_000) -> None:
+    def __init__(self, max_records: int = RHDB_MAX_RECORDS) -> None:
         if max_records < 1:
             raise ValueError("max_records must be >= 1")
         self._records: list[RHDbRecord] = []

@@ -40,10 +40,12 @@ from repro.experiments.spec import (
 from repro.metrics.export import loop_result_to_dict
 from repro.obs.metrics import default_registry
 from repro.sim.environment import Environment
+from repro.sim.types import Allocation
 from repro.workload.trace import WorkloadTrace
 
 __all__ = [
     "ExperimentUnit",
+    "build_autoscaler",
     "build_unit",
     "capture_manager_state",
     "hooks_on_step",
@@ -103,6 +105,39 @@ class ExperimentUnit:
     otherwise)."""
 
 
+def build_autoscaler(
+    spec: ExperimentSpec,
+    seed: int,
+    app: AppSpec,
+    start: Allocation,
+    environment: Any,
+) -> tuple[Autoscaler, float]:
+    """The spec's autoscaler for one cell, bound to ``environment``.
+
+    The one place a spec becomes a controller: the SLO is resolved (the
+    spec's, else the app's), the registry factory validates the params
+    and builds the autoscaler under ``seed``, and actuating controllers
+    (brownout's service-level dimmer) are bound to the engine they drive.
+    Scalar and streamed units pass their engine, batched groups each
+    cell's engine row, so every executor builds identical controllers
+    and rejects invalid params with identical errors.  Returns
+    ``(autoscaler, slo)``.
+    """
+    slo = spec.slo if spec.slo is not None else app.slo
+    autoscaler = AUTOSCALERS.build(
+        spec.autoscaler.kind,
+        app,
+        start,
+        slo,
+        seed=seed,
+        **spec.autoscaler.params,
+    )
+    bind = getattr(autoscaler, "bind_environment", None)
+    if callable(bind):
+        bind(environment)
+    return autoscaler, slo
+
+
 def build_unit(
     spec: ExperimentSpec,
     repeat: int = 0,
@@ -129,22 +164,8 @@ def build_unit(
         seed=seed + spec.engine.seed_offset,
         **spec.engine.params,
     )
-    slo = spec.slo if spec.slo is not None else app.slo
     start = app.generous_allocation(trace.rate(0.0), headroom=spec.headroom)
-    autoscaler = AUTOSCALERS.build(
-        spec.autoscaler.kind,
-        app,
-        start,
-        slo,
-        seed=seed,
-        **spec.autoscaler.params,
-    )
-    # Actuating controllers (brownout's service-level dimmer) need the
-    # engine they drive; every executor builds units through here, so the
-    # binding is identical across scalar, batched, and streamed runs.
-    bind = getattr(autoscaler, "bind_environment", None)
-    if callable(bind):
-        bind(engine)
+    autoscaler, slo = build_autoscaler(spec, seed, app, start, engine)
     # Autoscalers that carry their own (mutable) SLO drive the loop's
     # violation bookkeeping live, so set_slo hooks show up in the records.
     loop = ControlLoop(

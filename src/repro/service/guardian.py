@@ -69,7 +69,6 @@ class Guardian:
         self.rescaler = rescaler or Rescaler()
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self.records: list[LoopRecord] = []
-        self.decisions: list[Decision] = []
         self.error: str | None = None
         self.restarts = 0
         """How many times the orchestrator rebuilt this app's guardian."""
@@ -141,14 +140,12 @@ class Guardian:
         self._allocation = Allocation.from_row(
             loop.history.names, loop.bank.allocation[0]
         )
-        decision = Decision(
+        return Decision(
             app=self.app_id,
             step=step,
             record=record,
             next_allocation=self._allocation,
         )
-        self.decisions.append(decision)
-        return decision
 
     def offer(self, sample: MetricSample) -> list[Decision]:
         """Accept a possibly duplicated/reordered sample; tick what's due.

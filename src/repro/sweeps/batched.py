@@ -17,13 +17,14 @@ dicts returned here are exactly what
 the same JSON bytes land in the sweep store either way.
 
 Cells that :func:`batch_key` cannot place in a group (DES engine,
-non-noise engine params, unknown autoscalers/hooks, invalid component
-params) run
-through the scalar worker unchanged — a fallback, never an error.  Each
-fallback carries a machine-readable reason slug
-(:func:`batch_fallback_reason`), which the scheduler tallies into
-``SweepReport.fallbacks`` so batch coverage is visible instead of
-silently degrading.
+non-noise engine params, unknown autoscalers/hooks) run through the
+scalar worker unchanged — a fallback, never an error.  Every batched
+cell's controller is built by the scalar path's own
+:func:`~repro.experiments.runner.build_autoscaler`, so invalid params
+raise the same error in either mode.  Each fallback carries a
+machine-readable reason slug (:func:`batch_fallback_reason`), which the
+scheduler tallies into ``SweepReport.fallbacks`` so batch coverage is
+visible instead of silently degrading.
 """
 
 from __future__ import annotations
@@ -35,18 +36,15 @@ from typing import Any, Hashable, Sequence
 import numpy as np
 
 from repro.apps import build_app
-from repro.baselines.brownout import BrownoutController
-from repro.baselines.pid import PIDController
-from repro.baselines.rule import RuleBasedAutoscaler, RuleBatch
+from repro.baselines.rule import RuleBatch
 from repro.core.batch import PEMABatch
-from repro.core.config import PEMAConfig
 from repro.core.loop import Bank, ManagerBank, StepHistory, control_step
-from repro.experiments.registry import AUTOSCALERS, HOOKS, WORKLOADS
-from repro.experiments.runner import capture_manager_state
+from repro.core.rhdb import RHDB_MAX_RECORDS
+from repro.experiments.registry import HOOKS, WORKLOADS
+from repro.experiments.runner import build_autoscaler, capture_manager_state
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import ENGINE_FAULT_KINDS, STREAM_FAULT_KINDS
 from repro.sim.batched import BatchObservation, BatchedAnalyticalEngine
-from repro.sim.concurrency import gamma_quantile
 from repro.sim.noise import NoiseModel
 from repro.sim.types import Allocation
 from repro.workload.replay import rate_schedule
@@ -107,15 +105,14 @@ def classify_unit(
 
     The reason is a stable machine-readable slug (``engine:des``,
     ``autoscaler:fast_pema``, ``hook:my_hook``, ``pema_horizon``,
-    ``engine_params``, ``engine_params:noise``, ``hook_params:set_slo``,
-    ``autoscaler_params:rule``, ``set_slo_unsupported``) — the
-    scheduler tallies these into ``SweepReport.fallbacks`` and the CLI
-    prints them, so nobody mistakes a mostly-scalar "batched" sweep for
-    a vectorized one.
+    ``engine_params``, ``engine_params:noise``, ``set_slo_unsupported``)
+    — the scheduler tallies these into ``SweepReport.fallbacks`` and the
+    CLI prints them, so nobody mistakes a mostly-scalar "batched" sweep
+    for a vectorized one.
 
-    Component params are probed against their scalar constructors so a
-    spec the scalar path would reject at build time falls back to the
-    scalar path and fails there, with the same error.
+    Autoscaler and hook params are not inspected here: the batch runner
+    builds every cell through the same registry factories as the scalar
+    path, so an invalid param raises the same error in either mode.
     """
     if spec.engine.kind != "analytical":
         return None, f"engine:{spec.engine.kind}"
@@ -136,71 +133,14 @@ def classify_unit(
     if kind not in BATCHABLE_AUTOSCALERS:
         return None, f"autoscaler:{kind}"
     # PEMABatch keeps the full history; past the scalar RHDb's trim point
-    # (ResourceHistoryDB.max_records) the two would diverge.
-    if kind == "pema" and spec.n_steps > 100_000:
+    # the two would diverge.
+    if kind == "pema" and spec.n_steps > RHDB_MAX_RECORDS:
         return None, "pema_horizon"
     for hook in spec.hooks:
         if hook.kind not in _BATCHABLE_HOOKS:
             return None, f"hook:{hook.kind}"
         if hook.kind == "set_slo" and kind not in _SET_SLO_KINDS:
             return None, "set_slo_unsupported"
-        try:
-            HOOKS.build(hook.kind, **hook.params)
-        except (TypeError, ValueError, KeyError):
-            return None, f"hook_params:{hook.kind}"
-    bad_params = (None, f"autoscaler_params:{kind}")
-    try:
-        if kind == "pema":
-            PEMAConfig(**spec.autoscaler.params)
-        elif kind == "rule":
-            RuleBasedAutoscaler(
-                Allocation({"probe": 1.0}), **spec.autoscaler.params
-            )
-        elif kind == "pid":
-            PIDController(
-                Allocation({"probe": 1.0}), 1.0, **spec.autoscaler.params
-            )
-        elif kind == "brownout":
-            BrownoutController(
-                Allocation({"probe": 1.0}), 1.0, **spec.autoscaler.params
-            )
-        elif kind == "optimum":
-            params = dict(spec.autoscaler.params)
-            restarts = params.pop("restarts", 2)
-            if params or not isinstance(restarts, int) or restarts < 1:
-                return bad_params
-        elif kind == "workload_aware_pema":
-            from repro.core import WorkloadAwarePEMA
-
-            params = dict(spec.autoscaler.params)
-            start_rps = params.pop("start_rps", None)
-            if start_rps is not None:
-                float(start_rps)
-            config = params.pop("config", None)
-            if config is not None:
-                config = PEMAConfig(**config)
-            WorkloadAwarePEMA(
-                ("probe",),
-                1.0,
-                Allocation({"probe": 1.0}),
-                config=config,
-                seed=0,
-                **params,
-            )
-        elif spec.autoscaler.params:  # static: bottleneck_rps [+ scale]
-            params = dict(spec.autoscaler.params)
-            bottleneck_rps = params.pop("bottleneck_rps", None)
-            scale = params.pop("scale", 1.0)
-            if params:  # unknown key → scalar factory raises TypeError
-                return bad_params
-            if bottleneck_rps is None:
-                if scale != 1.0:  # "'scale' needs 'bottleneck_rps'"
-                    return bad_params
-            else:
-                float(bottleneck_rps)
-                float(scale)
-    except (TypeError, ValueError):
-        return bad_params
     return (spec.app, kind, spec.n_steps, noise_model), None
 
 
@@ -221,8 +161,15 @@ def batch_fallback_reason(spec: ExperimentSpec) -> str | None:
 class _StaticBank:
     """Cells whose allocation is pinned for the whole run."""
 
-    def __init__(self, allocation: np.ndarray, slos: Sequence[float]) -> None:
-        self.allocation = np.array(allocation, dtype=np.float64)
+    def __init__(
+        self, allocators: Sequence[Any], slos: Sequence[float]
+    ) -> None:
+        # The allocation is pinned at build time (the start, or a
+        # bottleneck_rps/scale model allocation) and never changes.
+        names = allocators[0].allocation.names
+        self.allocation = np.stack(
+            [a.allocation.as_array(names) for a in allocators]
+        )
         self.slo = np.asarray(slos, dtype=np.float64)
         self.decision_info: dict[int, list] = {}
 
@@ -249,15 +196,13 @@ class _OptimumBank:
     """
 
     def __init__(
-        self,
-        app,
-        restarts: Sequence[int],
-        start: np.ndarray,
-        slos: Sequence[float],
+        self, app, allocators: Sequence[Any], slos: Sequence[float]
     ) -> None:
         self._app = app
-        self._restarts = list(restarts)
-        self.allocation = start.copy()
+        self._restarts = [a.restarts for a in allocators]
+        self.allocation = np.stack(
+            [a.allocation.as_array(app.service_names) for a in allocators]
+        )
         self.slo = np.asarray(slos, dtype=np.float64)
         self.decision_info: dict[int, list] = {}
         self._workloads: list[float | None] = [None] * len(self._restarts)
@@ -291,23 +236,6 @@ class _OptimumBank:
                 self._workloads[i] = float(workloads[i])
             self.allocation = allocation
         return self.allocation
-
-
-def _generous_batch(app, rates: np.ndarray, headrooms: np.ndarray) -> np.ndarray:
-    """``AppSpec.generous_allocation`` for every cell in one array pass.
-
-    Same formula order as the scalar method (Gamma bottleneck at the 97th
-    percentile, scaled by headroom, floored at 0.2 cores), elementwise
-    across the batch.
-    """
-    mean = (
-        rates[:, None] * app.visit_array() * app.demand_array()
-        + app.baseline_array()
-    )
-    burst = app.burstiness_array()
-    shape = np.where(mean > 1e-12, mean / burst, 0.0)
-    base = gamma_quantile(0.97, shape, burst)
-    return np.maximum(base * headrooms[:, None], 0.2)
 
 
 def run_units_batched(
@@ -358,22 +286,23 @@ def _run_units_batched(
         WORKLOADS.build(s.workload.kind, **s.workload.params) for s in specs
     ]
     intervals = np.asarray([s.interval for s in specs], dtype=np.float64)
-    slos = [s.slo if s.slo is not None else app.slo for s in specs]
-    start_rates = np.asarray(
-        [trace.rate(0.0) for trace in traces], dtype=np.float64
-    )
-    if np.any(start_rates < 0):
-        raise ValueError("workload must be >= 0")
-    start = _generous_batch(
-        app,
-        start_rates,
-        np.asarray([s.headroom for s in specs], dtype=np.float64),
+    start = app.generous_allocations(
+        [trace.rate(0.0) for trace in traces], [s.headroom for s in specs]
     )
     # ``noise_model`` is shared by construction: it is part of the batch
     # key, and ``None`` means every cell uses the engine default — the
     # same resolution the scalar engine factory performs.
     engine = BatchedAnalyticalEngine(app, engine_seeds, noise=noise_model)
-    bank = _build_bank(kind, app, specs, slos, seeds, start, engine)
+    autoscalers, slos = zip(
+        *(
+            build_autoscaler(
+                spec, seed, app, Allocation.from_array(names, row),
+                engine.cell(i),
+            )
+            for i, (spec, seed, row) in enumerate(zip(specs, seeds, start))
+        )
+    )
+    bank = _build_bank(kind, app, autoscalers, slos)
 
     # Decision tracing: cells whose spec requested the channel record one
     # info dict per step from their bank (banks whose autoscalers have no
@@ -418,61 +347,22 @@ def _run_units_batched(
     return payloads
 
 
-def _build_bank(kind, app, specs, slos, seeds, start, engine) -> Bank:
-    """The decision bank for one batch group of autoscaler ``kind``."""
-    names = app.service_names
+def _build_bank(kind, app, autoscalers, slos) -> Bank:
+    """The decision bank for one batch group, stacked from its scalar cells."""
     if kind == "pema":
-        configs = [
-            PEMAConfig(**s.autoscaler.params) if s.autoscaler.params
-            else PEMAConfig()
-            for s in specs
-        ]
-        return PEMABatch(names, slos, start, configs, seeds)
+        return PEMABatch(autoscalers)
     if kind == "rule":
-        scalers = [
-            RuleBasedAutoscaler(
-                Allocation.from_array(names, start[i]), **s.autoscaler.params
-            )
-            for i, s in enumerate(specs)
-        ]
-        return RuleBatch(start, scalers, slos)
+        return RuleBatch(autoscalers, slos)
     if kind == "optimum":
-        return _OptimumBank(
-            app,
-            [int(s.autoscaler.params.get("restarts", 2)) for s in specs],
-            start,
-            slos,
-        )
-    # Build each scalar controller through the registry factory, exactly
-    # as the scalar ``build_unit`` does (param handling, seeding
-    # convention, environment binding), so the bank's controllers are
-    # byte-equal.
-    managers = []
-    for i, s in enumerate(specs):
-        manager = AUTOSCALERS.build(
-            kind,
-            app,
-            Allocation.from_array(names, start[i]),
-            slos[i],
-            seed=seeds[i],
-            **s.autoscaler.params,
-        )
-        bind = getattr(manager, "bind_environment", None)
-        if callable(bind):
-            bind(engine.cell(i))
-        managers.append(manager)
+        return _OptimumBank(app, autoscalers, slos)
     if kind == "static":
-        # The allocation is pinned at build time (the start, or a
-        # bottleneck_rps/scale model allocation) and never changes.
-        return _StaticBank(
-            np.stack([m.allocation.as_array(names) for m in managers]), slos
-        )
+        return _StaticBank(autoscalers, slos)
     # Controllers with their own ``.slo`` drive the records live, like
     # the scalar loop (so PID's ``set_slo`` hook shows up).
     return ManagerBank(
-        managers,
-        names,
-        [None if hasattr(m, "slo") else slo for m, slo in zip(managers, slos)],
+        autoscalers,
+        app.service_names,
+        [None if hasattr(m, "slo") else s for m, s in zip(autoscalers, slos)],
     )
 
 

@@ -159,6 +159,17 @@ class TestUnitEquivalence:
         ]
         assert_units_byte_identical(units)
 
+    def test_optimum_float_restarts_batches(self):
+        # The optimum factory accepts an integral float restart count, so
+        # the batch path must take the cell too (and match it byte for byte).
+        units = [
+            (spec(n_steps=2,
+                  autoscaler={"kind": "optimum", "params": {"restarts": 2.0}}),
+             0),
+            (spec(n_steps=2, autoscaler={"kind": "optimum"}), 0),
+        ]
+        assert_units_byte_identical(units)
+
     def test_hooked_cells_slo_and_cpu_speed(self):
         units = [
             (spec(n_steps=8,
@@ -255,12 +266,14 @@ class TestBatchKey:
         assert batch_key(
             spec(engine={"kind": "analytical", "params": {"p_crit": 0.9}})
         ) is None
+        # Invalid params do not decide grouping: they raise from the same
+        # registry factory in either mode (TestInvalidParamParity).
         assert batch_key(
             spec(autoscaler={"kind": "rule", "params": {"mode": "nope"}})
-        ) is None
+        ) == ("sockshop", "rule", 4, None)
         assert batch_key(
             spec(autoscaler={"kind": "static", "params": {"x": 1}})
-        ) is None
+        ) == ("sockshop", "static", 4, None)
         # set_slo drives PEMAController.set_slo — a rule cell would crash
         # the scalar path too, so it must not enter a batch.
         assert batch_key(
@@ -269,7 +282,7 @@ class TestBatchKey:
         ) is None
         assert batch_key(
             spec(hooks=[{"kind": "set_slo", "params": {"at": 1}}])
-        ) is None  # invalid hook params: probe fails, scalar raises
+        ) == ("sockshop", "pema", 4, None)  # invalid hook params: both raise
 
     def test_fallback_reason_slugs(self):
         assert batch_fallback_reason(spec()) is None
@@ -284,14 +297,14 @@ class TestBatchKey:
         ) == "autoscaler:fast_pema"
         assert batch_fallback_reason(
             spec(autoscaler={"kind": "rule", "params": {"mode": "nope"}})
-        ) == "autoscaler_params:rule"
+        ) is None
         assert batch_fallback_reason(
             spec(autoscaler={"kind": "rule"},
                  hooks=[{"kind": "set_slo", "params": {"at": 1, "slo": 0.2}}])
         ) == "set_slo_unsupported"
         assert batch_fallback_reason(
             spec(hooks=[{"kind": "set_slo", "params": {"at": 1}}])
-        ) == "hook_params:set_slo"
+        ) is None
         assert batch_fallback_reason(
             spec(n_steps=100_001)
         ) == "pema_horizon"
@@ -301,7 +314,7 @@ class TestBatchKey:
         ) == "engine_params:noise"
         assert batch_fallback_reason(
             spec(autoscaler={"kind": "static", "params": {"scale": 0.5}})
-        ) == "autoscaler_params:static"  # scale needs bottleneck_rps
+        ) is None  # scale needs bottleneck_rps: the factory raises
 
     def test_classify_is_key_plus_reason(self):
         for s in (spec(), spec(engine={"kind": "des"})):
@@ -309,6 +322,48 @@ class TestBatchKey:
             assert key == batch_key(s)
             assert reason == batch_fallback_reason(s)
             assert (key is None) == (reason is not None)
+
+
+#: Specs every executor must reject with the same exception.
+_INVALID_SPECS = {
+    "rule_mode": dict(autoscaler={"kind": "rule", "params": {"mode": "nope"}}),
+    "static_unknown": dict(autoscaler={"kind": "static", "params": {"x": 1}}),
+    "static_scale": dict(
+        autoscaler={"kind": "static", "params": {"scale": 0.5}}
+    ),
+    "optimum_bogus": dict(
+        autoscaler={"kind": "optimum", "params": {"bogus": 1}}
+    ),
+    "pid_bogus": dict(autoscaler={"kind": "pid", "params": {"bogus": 1}}),
+    "brownout_bogus": dict(
+        autoscaler={"kind": "brownout", "params": {"bogus": 1}}
+    ),
+    "pema_alpha": dict(autoscaler={"kind": "pema", "params": {"alpha": -1}}),
+    "manager_low_only": dict(
+        autoscaler={"kind": "workload_aware_pema",
+                    "params": {"workload_low": 300.0}}
+    ),
+    "set_slo_no_slo": dict(hooks=[{"kind": "set_slo", "params": {"at": 1}}]),
+}
+
+
+def _raised(fn) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestInvalidParamParity:
+    @pytest.mark.parametrize(
+        "overrides", list(_INVALID_SPECS.values()), ids=list(_INVALID_SPECS)
+    )
+    def test_same_error_in_every_mode(self, overrides):
+        bad = spec(**overrides)
+        expected = _raised(lambda: scalar_payload(bad))
+        assert _raised(lambda: run_units_batched([(bad, 0)])) == expected
+        grid = SweepGrid(name="bad", base=bad.to_dict())
+        for batch in (False, True):
+            assert _raised(lambda: run_grid(grid, batch=batch)) == expected
 
 
 class TestSchedulerBatchPath:

@@ -295,7 +295,7 @@ class TestOptimumSweepUnits:
         bad = specs[0].with_(
             autoscaler={"kind": "optimum", "params": {"bogus": 1}}
         )
-        assert batch_key(bad) is None
+        assert batch_key(bad) == key  # the factory rejects it when built
 
     def test_group_runner_matches_scalar_worker(self):
         from repro.experiments.runner import _run_unit_worker

@@ -320,18 +320,15 @@ class TestReplayBatching:
             40,
             None,
         )
-        # Bad manager params fall back to the scalar path (same error there).
-        assert (
-            batch_key(
-                replay_spec(
-                    autoscaler={
-                        "kind": "workload_aware_pema",
-                        "params": {"workload_low": 300.0},
-                    }
-                )
+        # Bad manager params still group; the factory raises in either mode.
+        assert batch_key(
+            replay_spec(
+                autoscaler={
+                    "kind": "workload_aware_pema",
+                    "params": {"workload_low": 300.0},
+                }
             )
-            is None
-        )
+        ) == ("sockshop", "workload_aware_pema", 25, None)
 
     def test_batched_equals_scalar_including_manager_state(self):
         spec = manager_replay_spec()
