@@ -19,7 +19,7 @@ import numpy as np
 from benchmarks._report import emit
 from repro.apps import build_app
 from repro.bench import format_table
-from repro.cluster import HorizontalRuleAutoscaler, ReplicaAllocator
+from repro.baselines import HorizontalRuleAutoscaler, ReplicaAllocator
 from repro.core import ControlLoop
 from repro.experiments import (
     ExperimentSpec,

@@ -1,6 +1,11 @@
-"""Benchmark resource-allocation strategies: OPTM, RULE, PID, brownout, static."""
+"""Benchmark resource-allocation strategies: OPTM, RULE, PID, brownout,
+static, and the HPA-style horizontal baseline."""
 
 from repro.baselines.brownout import BrownoutController
+from repro.baselines.horizontal import (
+    HorizontalRuleAutoscaler,
+    ReplicaAllocator,
+)
 from repro.baselines.optm import OptimumResult, OptimumSearch
 from repro.baselines.optm_batch import (
     OptimumAllocator,
@@ -13,6 +18,8 @@ from repro.baselines.static import StaticAllocator
 
 __all__ = [
     "BrownoutController",
+    "HorizontalRuleAutoscaler",
+    "ReplicaAllocator",
     "OptimumSearch",
     "OptimumResult",
     "OptimumAllocator",

@@ -20,8 +20,10 @@ exploration index draw, Bernoulli selection + uniform cut via the *same*
 :func:`~repro.core.selection.select_targets`) is preserved branch by
 branch.  ``tests/test_batched.py`` enforces byte-identical artifacts.
 
-Unsupported (fall back to the scalar path): per-cell cost models, and
-histories long enough to hit the RHDb's 100k-record trim.
+The one unsupported case is a history long enough to hit the RHDb trim
+(``n_steps`` past :data:`~repro.core.rhdb.RHDB_MAX_RECORDS`):
+``classify_unit`` routes such cells to the scalar path as
+``pema_horizon``.
 """
 
 from __future__ import annotations

@@ -48,6 +48,9 @@ __all__ = [
     "ManagerBank",
     "StepHistory",
     "control_step",
+    "loop_record_to_dict",
+    "loop_result_from_dict",
+    "loop_result_to_dict",
 ]
 
 
@@ -252,7 +255,7 @@ class StepHistory:
         ``captures[i]`` is cell ``i``'s capture channels; ``decision_trace``
         adds the cell's :meth:`decision_trace`.  Records are assembled
         straight from the columns, in the dict shape and key order of
-        :func:`repro.metrics.export.loop_record_to_dict`.
+        :func:`loop_record_to_dict`.
         """
         columns = self._columns()
         work, resp, total, slo, violated, alloc = columns
@@ -397,6 +400,57 @@ class LoopResult:
         if not totals:
             raise LookupError("no SLO-satisfying interval in the run")
         return float(np.mean(totals))
+
+
+def loop_record_to_dict(rec: LoopRecord) -> dict[str, Any]:
+    """One interval record in the canonical JSON encoding.
+
+    Allocations are encoded as ``[name, cpu]`` pairs rather than an
+    object: JSON writers that sort keys would otherwise reorder the
+    services, and summation order matters to the last ulp of
+    ``Allocation.total()``.  The streaming service's per-tick decision
+    feed uses exactly this encoding, and :meth:`StepHistory.payloads`
+    assembles the same shape from its columns, so streamed, offline and
+    batched histories compare byte-for-byte.
+    """
+    return {
+        "step": rec.step,
+        "time": rec.time,
+        "workload": rec.workload,
+        "response": rec.response,
+        "total_cpu": rec.total_cpu,
+        "violated": bool(rec.violated),
+        "slo": rec.slo,
+        "allocation": [
+            [name, rec.allocation[name]] for name in rec.allocation.names
+        ],
+    }
+
+
+def loop_result_to_dict(result: LoopResult) -> dict[str, Any]:
+    """A JSON-serializable run history (lossless; see the inverse below)."""
+    return {"records": [loop_record_to_dict(rec) for rec in result.records]}
+
+
+def loop_result_from_dict(data: dict[str, Any]) -> LoopResult:
+    """Rebuild a :class:`LoopResult` from :func:`loop_result_to_dict` output."""
+    return LoopResult(
+        [
+            LoopRecord(
+                step=int(rec["step"]),
+                time=float(rec["time"]),
+                workload=float(rec["workload"]),
+                response=float(rec["response"]),
+                total_cpu=float(rec["total_cpu"]),
+                violated=bool(rec["violated"]),
+                slo=float(rec["slo"]),
+                allocation=Allocation(
+                    [(name, float(cpu)) for name, cpu in rec["allocation"]]
+                ),
+            )
+            for rec in data["records"]
+        ]
+    )
 
 
 class ControlLoop:

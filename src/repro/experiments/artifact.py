@@ -4,7 +4,7 @@ An :class:`ExperimentArtifact` pairs the spec that produced it with the
 per-seed :class:`~repro.core.LoopResult` histories and derives the
 summary statistics the paper's figures report (settled total CPU across
 seeds, violation rates).  Artifacts round-trip through JSON via the
-:mod:`repro.metrics.export` record codec, so a figure cell can be
+:mod:`repro.core.loop` record codec, so a figure cell can be
 archived, diffed, and re-plotted without re-running anything.
 """
 
@@ -17,9 +17,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.loop import LoopResult
+from repro.core.loop import (
+    LoopResult,
+    loop_result_from_dict,
+    loop_result_to_dict,
+)
 from repro.experiments.spec import ExperimentSpec
-from repro.metrics.export import loop_result_from_dict, loop_result_to_dict
 
 __all__ = ["ExperimentArtifact"]
 

@@ -29,7 +29,12 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.apps import build_app
 from repro.apps.spec import AppSpec
-from repro.core.loop import Autoscaler, ControlLoop, LoopResult
+from repro.core.loop import (
+    Autoscaler,
+    ControlLoop,
+    LoopResult,
+    loop_result_to_dict,
+)
 from repro.experiments.artifact import ExperimentArtifact
 from repro.experiments.registry import AUTOSCALERS, ENGINES, HOOKS, WORKLOADS
 from repro.experiments.spec import (
@@ -37,7 +42,6 @@ from repro.experiments.spec import (
     EngineSpec,
     ExperimentSpec,
 )
-from repro.metrics.export import loop_result_to_dict
 from repro.obs.metrics import default_registry
 from repro.sim.environment import Environment
 from repro.sim.types import Allocation

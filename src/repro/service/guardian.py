@@ -24,7 +24,7 @@ import asyncio
 import time
 from typing import Any
 
-from repro.core.loop import LoopRecord, LoopResult
+from repro.core.loop import LoopRecord, LoopResult, loop_result_to_dict
 from repro.experiments.runner import (
     build_unit,
     capture_manager_state,
@@ -32,7 +32,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import reorder_window_for, stream_fault_entries
-from repro.metrics.export import loop_result_to_dict
 from repro.service.rescaler import Rescaler
 from repro.service.telemetry import (
     GUARDIAN_QUEUE_PEAK,

@@ -6,7 +6,7 @@ a deployment, a metrics pipeline).  A :class:`Decision` is what flows
 *out*: the interval record the autoscaler observed plus the allocation
 it chose for the next interval.  Decision records use exactly the
 offline runner's JSON encoding
-(:func:`repro.metrics.export.loop_record_to_dict`), so a streamed
+(:func:`repro.core.loop.loop_record_to_dict`), so a streamed
 decision history and an offline :class:`~repro.core.loop.LoopResult`
 compare byte-for-byte.
 """
@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.loop import LoopRecord
-from repro.metrics.export import loop_record_to_dict
+from repro.core.loop import LoopRecord, loop_record_to_dict
 from repro.sim.types import Allocation
 
 __all__ = ["MetricSample", "Decision", "ServiceError"]

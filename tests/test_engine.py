@@ -165,7 +165,7 @@ class TestFacadeMatchesOracle:
 
         from repro.apps import build_app
         from repro.core import ControlLoop, PEMAController
-        from repro.metrics.export import loop_result_to_dict
+        from repro.core.loop import loop_result_to_dict
         from repro.sim.engine import ReferenceAnalyticalEngine
         from repro.workload import SinusoidalWorkload
 

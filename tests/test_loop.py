@@ -127,3 +127,51 @@ class TestIntegrationPieces:
         loop = make_loop(tiny_app)
         loop.run(3, on_step=lambda step, lp: seen.append((step, lp is loop)))
         assert seen == [(0, True), (1, True), (2, True)]
+
+
+class TestRecordFormat:
+    def test_step_history_payloads_match_record_codec(self, tiny_app):
+        # The batched runner assembles unit payloads straight from the
+        # StepHistory columns; the scalar runner and the service encode
+        # LoopRecords with loop_result_to_dict.  Both must be one format.
+        import json
+
+        from repro.core import PEMABatch
+        from repro.core.loop import (
+            LoopResult,
+            StepHistory,
+            control_step,
+            loop_result_to_dict,
+        )
+        from repro.sim.batched import BatchedAnalyticalEngine
+
+        slos = (tiny_app.slo, 1e-6, tiny_app.slo * 2)
+        rates = np.array([100.0, 150.0, 80.0])
+        intervals = np.array([120.0, 60.0, 120.0])
+        bank = PEMABatch(
+            [
+                PEMAController(
+                    tiny_app.service_names, slo,
+                    tiny_app.generous_allocation(rate), seed=seed,
+                )
+                for seed, (slo, rate) in enumerate(zip(slos, rates))
+            ]
+        )
+        bank.enable_decision_trace([1])
+        engine = BatchedAnalyticalEngine(tiny_app, [11, 12, 13])
+        history = StepHistory(tuple(tiny_app.service_names), intervals)
+        for step in range(12):
+            control_step(step, engine, bank, rates, intervals, history)
+
+        captures = [(), ("decision_trace",), ()]
+        payloads = history.payloads(bank, captures)
+        violated = set()
+        for i, payload in enumerate(payloads):
+            assert ("decision_trace" in payload) == (i == 1)
+            records = payload["records"]
+            codec = loop_result_to_dict(LoopResult(history.loop_records(i)))
+            assert len(records) == 12
+            assert records == codec["records"]
+            assert json.dumps(records) == json.dumps(codec["records"])
+            violated |= {record["violated"] for record in records}
+        assert violated == {True, False}
