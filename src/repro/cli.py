@@ -680,8 +680,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(f"profile: {phase_note}")
         print(f"worker time: {report.profile.get('batched_seconds', 0.0):.3f}s"
-              f" batched, {report.profile.get('scalar_seconds', 0.0):.3f}s "
-              f"scalar")
+              f" batched in {report.profile.get('batch_groups', 0)} group(s),"
+              f" {report.profile.get('scalar_seconds', 0.0):.3f}s scalar")
         if cell.get("count"):
             print(f"per-cell latency: p50 {cell['p50'] * 1000:.1f} ms, "
                   f"p95 {cell['p95'] * 1000:.1f} ms "

@@ -19,7 +19,9 @@ Decisions come from a :class:`Bank`.  Vectorized banks
 :class:`~repro.baselines.rule.RuleBatch`, the sweep runner's OPTM and
 static banks) decide every cell with array math;
 :class:`ManagerBank` wraps per-cell scalar :class:`Autoscaler` objects and
-is what the B=1 drivers use for any autoscaler.
+is what the B=1 drivers use for any autoscaler.  A batch that mixes
+controller kinds steps one bank per kind behind the sweep runner's
+routing bank, so all its cells still share one engine call.
 """
 
 from __future__ import annotations

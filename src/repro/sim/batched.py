@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from scipy import special as _sc
 
 from repro.sim.cfs import CFSModel
 from repro.sim.concurrency import gamma_quantile
@@ -94,6 +95,22 @@ class BatchObservation:
                 for name, util, throttle, usage, p90 in columns
             },
             latency_mean=float(latency / 1.6),
+        )
+
+    def rows(self, index: np.ndarray) -> "BatchObservation":
+        """The observation of cells ``index``, in that order."""
+        return BatchObservation(
+            latency_p95=self.latency_p95[index],
+            workload_rps=self.workload_rps[index],
+            utilization=self.utilization[index],
+            throttle_seconds=self.throttle_seconds[index],
+            usage_cores=self.usage_cores[index],
+            usage_p90_cores=self.usage_p90_cores[index],
+            metrics=(
+                None
+                if self.metrics is None
+                else tuple(self.metrics[i] for i in index)
+            ),
         )
 
     @classmethod
@@ -298,7 +315,14 @@ class BatchedAnalyticalEngine:
         svc_noise = np.exp(normals)
         usage_noisy = usage * svc_noise
         util = np.clip(usage_noisy / np.maximum(alloc, 1e-12), 0.0, 1.0)
-        p90 = np.minimum(alloc, gamma_quantile(0.90, sig.shape, sig.scale))
+        # Wrapper-free when no service is degenerate: the same values the
+        # masked gamma_quantile assigns (see NoiselessLatencyKernel).
+        quantile = (
+            _sc.gammaincinv(sig.shape, 0.90) * sig.scale
+            if sig.regular
+            else gamma_quantile(0.90, sig.shape, sig.scale)
+        )
+        p90 = np.minimum(alloc, quantile)
 
         return BatchObservation(
             latency_p95=latency,

@@ -2,12 +2,14 @@
 
 The scheduler's ``batch=True`` path partitions each chunk of pending
 (spec, repeat) units into *compatible groups* — same application, same
-autoscaler kind, same horizon, analytical engine — and hands every group
-to :func:`run_units_batched`, which drives the shared
+horizon, same engine noise model, analytical engine — and hands every
+group to :func:`run_units_batched`, which drives the shared
 :func:`~repro.core.loop.control_step` over the whole group as one stack
 of arrays: one :class:`~repro.sim.batched.BatchedAnalyticalEngine`
-observation and one decision-bank step per interval, instead of one
-scalar loop per cell.
+observation per interval for every cell, whatever its controller kind,
+instead of one scalar loop per cell.  Each controller kind decides
+through its own bank; a routing bank hands each kind's bank its rows of
+the shared observation, so the kinds of one app share one engine call.
 
 Byte-identity: every per-cell float operation and random draw is
 replicated in the scalar order (see the bit-exactness notes in
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import gc
 from types import SimpleNamespace
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -68,11 +70,11 @@ def batch_from_env(default: bool = False) -> bool:
         return default
     return value.strip().lower() in ("1", "true", "yes", "on")
 
-#: Autoscaler kinds a batch group can hold.  ``pema``/``rule`` decide
-#: through fully vectorized banks; ``optimum``, ``workload_aware_pema``,
-#: ``pid``, and ``brownout`` ride the vectorized engine with bank-driven
-#: scalar decisions (the expensive closed-form observation is still one
-#: call per batch).
+#: Autoscaler kinds a batch group can hold, in any mix: the group's cells
+#: share one engine call per interval, and each kind decides through its
+#: own bank.  ``pema``/``rule`` decide through fully vectorized banks;
+#: ``optimum``, ``workload_aware_pema``, ``pid``, and ``brownout`` decide
+#: per cell inside their banks.
 BATCHABLE_AUTOSCALERS = (
     "pema", "rule", "static", "optimum", "workload_aware_pema",
     "pid", "brownout",
@@ -97,11 +99,12 @@ def classify_unit(
     """``(batch key, None)`` for batchable specs, ``(None, reason)`` else.
 
     Units sharing a key can be stacked into one batch: same app (service
-    set and calibration), same autoscaler kind (one vectorized bank),
-    same horizon (one time loop), and same engine noise model (one
-    vectorized observation).  Everything else — workload level and kind,
-    α/β and other autoscaler params, CPU speed and SLO hooks, interval,
-    SLO, headroom, seeds — varies freely *within* a batch.
+    set and calibration), same horizon (one time loop), and same engine
+    noise model (one vectorized observation).  Everything else — the
+    autoscaler kind (each kind gets its own bank behind one routing
+    bank), workload level and kind, α/β and other autoscaler params, CPU
+    speed and SLO hooks, interval, SLO, headroom, seeds — varies freely
+    *within* a batch.
 
     The reason is a stable machine-readable slug (``engine:des``,
     ``autoscaler:fast_pema``, ``hook:my_hook``, ``pema_horizon``,
@@ -141,7 +144,7 @@ def classify_unit(
             return None, f"hook:{hook.kind}"
         if hook.kind == "set_slo" and kind not in _SET_SLO_KINDS:
             return None, "set_slo_unsupported"
-    return (spec.app, kind, spec.n_steps, noise_model), None
+    return (spec.app, spec.n_steps, noise_model), None
 
 
 def batch_key(spec: ExperimentSpec) -> tuple[Hashable, ...] | None:
@@ -238,6 +241,67 @@ class _OptimumBank:
         return self.allocation
 
 
+class _KindRouter:
+    """One bank over a batch group whose cells mix controller kinds.
+
+    Holds the group's ``(B, S)`` allocation and live ``(B,)`` SLO; each
+    step hands every kind's bank its rows of the shared observation and
+    scatters the decided rows back.  Per-cell calls (``cell``, decision
+    tracing) are mapped to the owning bank's local index.
+    """
+
+    def __init__(
+        self, banks: Sequence[Bank], rows: Iterable[Sequence[int]]
+    ) -> None:
+        self._banks = [
+            (bank, np.asarray(cells, dtype=np.intp))
+            for bank, cells in zip(banks, rows)
+        ]
+        self._owner = {
+            int(cell): (bank, local)
+            for bank, cells in self._banks
+            for local, cell in enumerate(cells)
+        }
+        self.allocation = np.empty(
+            (len(self._owner), banks[0].allocation.shape[1])
+        )
+        for bank, cells in self._banks:
+            self.allocation[cells] = bank.allocation
+
+    @property
+    def slo(self) -> np.ndarray:
+        slo = np.empty(len(self._owner))
+        for bank, cells in self._banks:
+            slo[cells] = bank.slo
+        return slo
+
+    @property
+    def decision_info(self) -> dict[int, list]:
+        return {
+            int(cells[local]): info
+            for bank, cells in self._banks
+            for local, info in bank.decision_info.items()
+        }
+
+    def cell(self, index: int) -> Any:
+        bank, local = self._owner[index]
+        return bank.cell(local)
+
+    def enable_decision_trace(self, cells: Sequence[int]) -> None:
+        wanted = set(cells)
+        for bank, rows in self._banks:
+            bank.enable_decision_trace(
+                [local for local, cell in enumerate(rows) if cell in wanted]
+            )
+
+    def step(self, obs: BatchObservation) -> np.ndarray:
+        allocation = np.empty_like(self.allocation)
+        for bank, cells in self._banks:
+            allocation[cells] = bank.step(obs.rows(cells))
+        self.allocation = allocation
+        return allocation
+
+
 def run_units_batched(
     units: Sequence[tuple[ExperimentSpec, int]],
 ) -> list[dict[str, Any]]:
@@ -271,7 +335,7 @@ def _run_units_batched(
     key = batch_key(specs[0])
     if key is None or any(batch_key(s) != key for s in specs[1:]):
         raise ValueError("units do not form one compatible batch group")
-    app_name, kind, n_steps, noise_model = key
+    app_name, n_steps, noise_model = key
     app = build_app(app_name)
     names = app.service_names
     n_cells = len(units)
@@ -302,7 +366,18 @@ def _run_units_batched(
             for i, (spec, seed, row) in enumerate(zip(specs, seeds, start))
         )
     )
-    bank = _build_bank(kind, app, autoscalers, slos)
+    # One bank per controller kind (first-appearance order), each over
+    # its own cells; a mixed group routes rows to them.
+    kinds: dict[str, list[int]] = {}
+    for i, spec in enumerate(specs):
+        kinds.setdefault(spec.autoscaler.kind, []).append(i)
+    banks = [
+        _build_bank(
+            kind, app, [autoscalers[i] for i in rows], [slos[i] for i in rows]
+        )
+        for kind, rows in kinds.items()
+    ]
+    bank = banks[0] if len(banks) == 1 else _KindRouter(banks, kinds.values())
 
     # Decision tracing: cells whose spec requested the channel record one
     # info dict per step from their bank (banks whose autoscalers have no

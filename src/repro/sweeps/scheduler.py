@@ -10,11 +10,12 @@ between chunks therefore loses at most one chunk of work, and re-running
 with the same store recomputes only the units that never completed.
 
 ``batch=True`` additionally partitions every chunk into compatible
-groups (same app, autoscaler kind, and horizon — see
+groups (same app, horizon, and engine noise model — see
 :func:`repro.sweeps.batched.batch_key`) and evaluates each group as one
-NumPy-vectorized batch inside a single worker call; units no group can
-hold (DES engine, custom engine params, unknown hooks) fall back to the
-scalar worker, with per-reason counts reported in
+NumPy-vectorized batch inside a single worker call, its controller kinds
+sharing one engine call per interval through a routing bank; units no
+group can hold (DES engine, custom engine params, unknown hooks) fall
+back to the scalar worker, with per-reason counts reported in
 ``SweepReport.fallbacks``.  Batched and scalar execution produce byte-identical
 payloads, so a store is freely shared between the two modes.
 
@@ -141,7 +142,9 @@ class SweepReport:
     """Where the sweep's wall-clock went: per-phase seconds
     (``phases``: plan/load/run/persist/aggregate), the
     batched-vs-scalar worker-time split (``batched_seconds`` /
-    ``scalar_seconds``), and the per-cell worker-latency histogram
+    ``scalar_seconds``), the number of batched worker tasks
+    (``batch_groups``; ``batched_units / batch_groups`` is the mean
+    group size), and the per-cell worker-latency histogram
     (``cell_seconds``: count/sum/buckets/p50/p95)."""
 
     @property
@@ -333,6 +336,7 @@ def run_sweep_cached(
     computed = 0
     batched_units = 0
     scalar_units = 0
+    batch_groups = 0
     batched_seconds = 0.0
     scalar_seconds = 0.0
     fallbacks: dict[str, int] = {}
@@ -374,6 +378,7 @@ def run_sweep_cached(
                 payloads = result["payloads"]
                 task_seconds = float(result["seconds"])
                 if batched:
+                    batch_groups += 1
                     batched_seconds += task_seconds
                 else:
                     scalar_seconds += task_seconds
@@ -448,6 +453,7 @@ def run_sweep_cached(
             "phases": {k: round(v, 6) for k, v in phases.items()},
             "batched_seconds": round(batched_seconds, 6),
             "scalar_seconds": round(scalar_seconds, 6),
+            "batch_groups": batch_groups,
             "cell_seconds": cell_hist.to_dict(),
         },
     )

@@ -226,15 +226,93 @@ class TestUnitEquivalence:
             run_units_batched([(spec(), 0), (spec(app="trainticket"), 0)])
 
 
+class TestMixedKindGroup:
+    """One app's cells of every controller kind run as one batch group."""
+
+    @staticmethod
+    def units() -> list[tuple[ExperimentSpec, int]]:
+        def slo_hook(at):
+            return [{"kind": "set_slo", "params": {"at": at, "slo": 0.2}}]
+
+        traced = ["decision_trace"]
+        return [
+            (spec(n_steps=6, autoscaler={"kind": "rule"},
+                  hooks=[{"kind": "set_cpu_speed",
+                          "params": {"at": 2, "speed": 0.889}}]), 0),
+            (spec(n_steps=6, seed=1, capture=traced), 0),
+            (spec(n_steps=6, workload=600.0,
+                  autoscaler={"kind": "workload_aware_pema",
+                              "params": {"workload_low": 300.0,
+                                         "workload_high": 900.0,
+                                         "min_range_width": 75.0,
+                                         "split_after": 2}},
+                  capture=["decision_trace", "manager_state"]), 0),
+            (spec(n_steps=6, workload=800.0,
+                  autoscaler={"kind": "rule", "params": {"mode": "vpa"}},
+                  hooks=[{"kind": "service_crash",
+                          "params": {"at": 1, "duration": 2,
+                                     "service": "frontend"}}]), 0),
+            (spec(n_steps=6, autoscaler={"kind": "optimum"}), 0),
+            (spec(n_steps=6, workload=500.0, autoscaler={"kind": "static"}),
+             0),
+            (spec(n_steps=6, autoscaler={"kind": "pid"}, hooks=slo_hook(2),
+                  capture=traced), 0),
+            (spec(n_steps=6, workload=650.0, autoscaler={"kind": "brownout"}),
+             0),
+            # The hooked PEMA cell is its bank's second row: hooks must
+            # reach the bank-local cell, not the group index.
+            (spec(n_steps=6, seed=2, hooks=slo_hook(3)), 0),
+        ]
+
+    def test_one_group_one_engine_call_per_step(self, monkeypatch):
+        units = self.units()
+        assert len({batch_key(s) for s, _ in units}) == 1
+        calls = []
+        observe = BatchedAnalyticalEngine.observe
+
+        def counted(engine, alloc, rates, intervals):
+            calls.append(alloc.shape[0])
+            return observe(engine, alloc, rates, intervals)
+
+        monkeypatch.setattr(BatchedAnalyticalEngine, "observe", counted)
+        run_units_batched(units)
+        assert calls == [len(units)] * 6
+
+    def test_payloads_match_scalar_worker_bytes(self):
+        units = self.units()
+        batched = run_units_batched(units)
+        for (s, repeat), payload in zip(units, batched):
+            expected = scalar_payload(s, repeat)
+            # The store's encoding: sorted keys.
+            assert json.dumps(payload, sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            ), s.autoscaler.kind
+        # Each channel really fired inside the mixed group.
+        assert batched[2]["manager_state"]
+        for i in (1, 2, 6):
+            assert len(batched[i]["decision_trace"]) == 6, i
+        assert batched[1]["decision_trace"][0]["decision"] is not None
+        for i, at in ((8, 3), (6, 2)):
+            slos = [r["slo"] for r in batched[i]["records"]]
+            assert slos[at:] == [0.2] * (6 - at) and slos[0] != 0.2, i
+        # The unhooked PEMA cell (its bank's first row) keeps its SLO.
+        assert 0.2 not in {r["slo"] for r in batched[1]["records"]}
+
+
 class TestBatchKey:
     def test_groups_by_app_autoscaler_horizon(self):
-        assert batch_key(spec()) == ("sockshop", "pema", 4, None)
+        # The key is (app, horizon, noise model): controller kinds share a
+        # group (one engine call, routed to per-kind banks).
+        assert batch_key(spec()) == ("sockshop", 4, None)
         assert batch_key(spec(app="trainticket", workload=225.0)) == (
-            "trainticket", "pema", 4, None
+            "trainticket", 4, None
         )
-        assert batch_key(spec(autoscaler={"kind": "rule"})) == (
-            "sockshop", "rule", 4, None
-        )
+        for kind in ("rule", "static", "optimum", "workload_aware_pema",
+                     "pid", "brownout"):
+            assert batch_key(spec(autoscaler={"kind": kind})) == (
+                "sockshop", 4, None
+            ), kind
+        assert batch_key(spec(n_steps=5)) == ("sockshop", 5, None)
         # Workload/seed/interval/slo/params differences stay in-group.
         assert batch_key(spec(workload=600.0, seed=9, interval=60.0)) == \
             batch_key(spec(slo=0.3, headroom=4.0))
@@ -247,19 +325,24 @@ class TestBatchKey:
         )
         key, reason = classify_unit(noisy)
         assert reason is None
-        assert key[:3] == ("sockshop", "pema", 4)
+        assert key[:2] == ("sockshop", 4)
         assert key == batch_key(
             spec(engine={"kind": "analytical",
                          "params": {"noise": {"sigma": 0.0}}},
                  workload=600.0)
         )
         assert key != batch_key(spec())
-        # Static cells with a pinned bottleneck allocation batch too.
+        # Static cells with a pinned bottleneck allocation batch too, in
+        # the same group as any other kind under the same noise model.
         pinned = spec(
             autoscaler={"kind": "static",
                         "params": {"bottleneck_rps": 500.0, "scale": 1.2}}
         )
-        assert batch_key(pinned) == ("sockshop", "static", 4, None)
+        assert batch_key(pinned) == ("sockshop", 4, None)
+        assert batch_key(
+            pinned.with_(engine={"kind": "analytical",
+                                 "params": {"noise": {"sigma": 0.0}}})
+        ) == key
 
     def test_unbatchable_kinds_fall_back(self):
         assert batch_key(spec(engine={"kind": "des"})) is None
@@ -270,10 +353,10 @@ class TestBatchKey:
         # registry factory in either mode (TestInvalidParamParity).
         assert batch_key(
             spec(autoscaler={"kind": "rule", "params": {"mode": "nope"}})
-        ) == ("sockshop", "rule", 4, None)
+        ) == ("sockshop", 4, None)
         assert batch_key(
             spec(autoscaler={"kind": "static", "params": {"x": 1}})
-        ) == ("sockshop", "static", 4, None)
+        ) == ("sockshop", 4, None)
         # set_slo drives PEMAController.set_slo — a rule cell would crash
         # the scalar path too, so it must not enter a batch.
         assert batch_key(
@@ -282,7 +365,9 @@ class TestBatchKey:
         ) is None
         assert batch_key(
             spec(hooks=[{"kind": "set_slo", "params": {"at": 1}}])
-        ) == ("sockshop", "pema", 4, None)  # invalid hook params: both raise
+        ) == ("sockshop", 4, None)  # invalid hook params: both raise
+        # The PEMA history bound stays a per-cell fallback.
+        assert batch_key(spec(n_steps=100_001)) is None
 
     def test_fallback_reason_slugs(self):
         assert batch_fallback_reason(spec()) is None

@@ -181,3 +181,60 @@ class TestFacadeMatchesOracle:
             return json.dumps(loop_result_to_dict(loop.run(40)))
 
         assert run(AnalyticalEngine) == run(ReferenceAnalyticalEngine)
+
+
+class TestDegenerateServices:
+    """Zero-mean services must take the kernel's masked Gamma path.
+
+    The tiny app's services have ``baseline_cores == 0``, so at workload
+    0.0 their mean concurrency is 0 and their Gamma shape degenerate.
+    """
+
+    def test_zero_workload_matches_reference(self):
+        from repro.sim import NoiselessLatencyKernel
+        from repro.sim.engine import ReferenceAnalyticalEngine
+
+        app = _APP
+        kernel = NoiselessLatencyKernel(app)
+        alloc = np.full((1, app.n_services), 0.5)
+        assert not kernel.evaluate(alloc, np.array([0.0])).regular
+        assert kernel.evaluate(alloc, np.array([300.0])).regular
+        facade = AnalyticalEngine(app, seed=11)
+        oracle = ReferenceAnalyticalEngine(app, seed=11)
+        allocation = Allocation.from_array(app.service_names, alloc[0])
+        for rate in (0.0, 300.0, 0.0):
+            assert facade.observe(allocation, rate) == oracle.observe(
+                allocation, rate
+            )
+
+    def test_degenerate_row_leaves_normal_rows_unchanged(self):
+        # One degenerate row sends the whole batch down the masked path;
+        # the normal rows must keep the bytes of an all-regular batch.
+        from repro.sim import BatchedAnalyticalEngine
+        from repro.sim.engine import ReferenceAnalyticalEngine
+
+        app = _APP
+        rng = np.random.default_rng(2)
+        alloc = rng.uniform(0.05, 1.0, (3, app.n_services))
+        mixed = BatchedAnalyticalEngine(app, [3, 4, 5])
+        clean = BatchedAnalyticalEngine(app, [3, 5])
+        oracle = ReferenceAnalyticalEngine(app, seed=4)
+        fields = ("latency_p95", "workload_rps", "utilization",
+                  "throttle_seconds", "usage_cores", "usage_p90_cores")
+        for _ in range(3):
+            got = mixed.observe(
+                alloc, np.array([300.0, 0.0, 150.0]), np.full(3, 120.0)
+            )
+            want = clean.observe(
+                alloc[[0, 2]], np.array([300.0, 150.0]), np.full(2, 120.0)
+            )
+            for name in fields:
+                assert (
+                    getattr(got, name)[[0, 2]].tobytes()
+                    == getattr(want, name).tobytes()
+                ), name
+            assert got.interval_metrics(1, app.service_names) == (
+                oracle.observe(
+                    Allocation.from_array(app.service_names, alloc[1]), 0.0
+                )
+            )

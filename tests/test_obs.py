@@ -475,6 +475,18 @@ class TestSweepSurfaces:
         assert report.profile["batched_seconds"] >= 0.0
         assert report.to_dict()["profile"] == report.profile
 
+    def test_profile_counts_batch_groups(self):
+        # Controller kinds of one app share a group: one batched task.
+        specs = [
+            make_spec(capture=[], autoscaler={"kind": kind})
+            for kind in ("pema", "rule", "pid")
+        ]
+        _, report = run_sweep_cached(specs, batch=True)
+        assert report.profile["batch_groups"] == 1
+        assert report.batched_units == 3
+        _, report = run_sweep_cached(specs, batch=False)
+        assert report.profile["batch_groups"] == 0
+
     def test_progress_reports_fallbacks_as_they_accrue(self):
         scalar_only = make_spec(
             capture=[], engine={"kind": "des"}, n_steps=3

@@ -289,9 +289,13 @@ class TestOptimumSweepUnits:
     def test_batch_key_groups_optimum(self):
         specs = self.specs()
         key = batch_key(specs[0])
-        assert key == ("sockshop", "optimum", 2, None)
+        assert key == ("sockshop", 2, None)
         assert batch_key(specs[1]) == key
-        assert batch_key(specs[2]) == ("trainticket", "optimum", 2, None)
+        assert batch_key(specs[2]) == ("trainticket", 2, None)
+        # Same-app cells of other kinds join the optimum cells' group.
+        assert batch_key(
+            specs[0].with_(autoscaler={"kind": "rule"})
+        ) == key
         bad = specs[0].with_(
             autoscaler={"kind": "optimum", "params": {"bogus": 1}}
         )

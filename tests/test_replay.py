@@ -313,14 +313,10 @@ def small_replay_grid():
 
 class TestReplayBatching:
     def test_replay_cells_are_batchable(self):
-        assert batch_key(replay_spec()) == ("sockshop", "pema", 25, None)
-        assert batch_key(manager_replay_spec()) == (
-            "sockshop",
-            "workload_aware_pema",
-            40,
-            None,
-        )
-        # Bad manager params still group; the factory raises in either mode.
+        assert batch_key(replay_spec()) == ("sockshop", 25, None)
+        assert batch_key(manager_replay_spec()) == ("sockshop", 40, None)
+        # Bad manager params still group — with the same-horizon PEMA
+        # replay cells; the factory raises in either mode.
         assert batch_key(
             replay_spec(
                 autoscaler={
@@ -328,7 +324,7 @@ class TestReplayBatching:
                     "params": {"workload_low": 300.0},
                 }
             )
-        ) == ("sockshop", "workload_aware_pema", 25, None)
+        ) == batch_key(replay_spec())
 
     def test_batched_equals_scalar_including_manager_state(self):
         spec = manager_replay_spec()
