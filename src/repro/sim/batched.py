@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import special as _sc
 
 from repro.sim.cfs import CFSModel
 from repro.sim.concurrency import gamma_quantile
@@ -315,14 +314,7 @@ class BatchedAnalyticalEngine:
         svc_noise = np.exp(normals)
         usage_noisy = usage * svc_noise
         util = np.clip(usage_noisy / np.maximum(alloc, 1e-12), 0.0, 1.0)
-        # Wrapper-free when no service is degenerate: the same values the
-        # masked gamma_quantile assigns (see NoiselessLatencyKernel).
-        quantile = (
-            _sc.gammaincinv(sig.shape, 0.90) * sig.scale
-            if sig.regular
-            else gamma_quantile(0.90, sig.shape, sig.scale)
-        )
-        p90 = np.minimum(alloc, quantile)
+        p90 = np.minimum(alloc, gamma_quantile(0.90, sig.shape, sig.scale))
 
         return BatchObservation(
             latency_p95=latency,

@@ -21,7 +21,9 @@ This single distribution yields every signal PEMA observes:
 * queueing pressure: the tail expectation ``E[(N_i - x_i)+] / x_i`` drives
   latency inflation (Section 4 of DESIGN.md).
 
-All functions are vectorized over services.
+All functions are vectorized over services.  Degenerate entries (zero
+shape, scale or mean) are masked out; when there are none, each function
+applies its ufuncs to the whole arrays, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -63,8 +65,12 @@ def gamma_cdf(x: np.ndarray, shape: np.ndarray, scale: np.ndarray) -> np.ndarray
 def gamma_sf(x: np.ndarray, shape: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """P(N > x), the throttled-period fraction at allocation ``x``."""
     x, shape, scale = _as_arrays(x, shape, scale)
-    out = np.zeros(np.broadcast_shapes(x.shape, shape.shape, scale.shape))
     valid = (shape > _EPS) & (scale > _EPS)
+    if valid.all():
+        # No degenerate entry: the masked assignment below would write
+        # these same values over every element.
+        return np.asarray(_sc.gammaincc(shape, np.maximum(x, 0.0) / scale))
+    out = np.zeros(np.broadcast_shapes(x.shape, shape.shape, scale.shape))
     xs = np.broadcast_to(x, out.shape)
     ss = np.broadcast_to(shape, out.shape)
     cs = np.broadcast_to(scale, out.shape)
@@ -81,10 +87,13 @@ def gamma_quantile(
     """
     shape, scale = _as_arrays(shape, scale)
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if (p <= 0.0).any() or (p >= 1.0).any():
         raise ValueError(f"quantile levels must be in (0, 1): {p}")
-    out = np.zeros(np.broadcast_shapes(p.shape, shape.shape, scale.shape))
     valid = (shape > _EPS) & (scale > _EPS)
+    if valid.all():
+        # No degenerate entry (see gamma_sf).
+        return np.asarray(_sc.gammaincinv(shape, p) * scale)
+    out = np.zeros(np.broadcast_shapes(p.shape, shape.shape, scale.shape))
     valid = np.broadcast_to(valid, out.shape)
     ps = np.broadcast_to(p, out.shape)
     ss = np.broadcast_to(shape, out.shape)
@@ -111,8 +120,18 @@ def tail_expectation(
     pass with bit-identical results.
     """
     x, mean, shape, scale = _as_arrays(x, mean, shape, scale)
-    out = np.zeros(np.broadcast_shapes(x.shape, mean.shape, shape.shape, scale.shape))
     valid = (shape > _EPS) & (scale > _EPS) & (mean > _EPS)
+    if valid.all():
+        # No degenerate entry (see gamma_sf).
+        xv = np.maximum(x, 0.0)
+        upper = mean * _sc.gammaincc(shape + 1.0, xv / scale)
+        lower = (
+            _sc.gammaincc(shape, xv / scale)
+            if sf is None
+            else np.asarray(sf, dtype=np.float64)
+        )
+        return np.asarray(np.maximum(upper - xv * lower, 0.0))
+    out = np.zeros(np.broadcast_shapes(x.shape, mean.shape, shape.shape, scale.shape))
     xs = np.broadcast_to(x, out.shape)
     ms = np.broadcast_to(mean, out.shape)
     ss = np.broadcast_to(shape, out.shape)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy import special as _sc
 
 from repro.sim.concurrency import gamma_sf, tail_expectation
 
@@ -44,30 +43,6 @@ __all__ = [
 ]
 
 _EPS = 1e-12
-
-
-def _gamma_tail(
-    x: np.ndarray,
-    mean: np.ndarray,
-    shape: np.ndarray,
-    scale: np.ndarray,
-    regular: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(gamma_sf, tail_expectation)`` at allocation ``x``.
-
-    ``regular`` says every ``(mean, shape, scale)`` entry is above
-    ``_EPS``.  The wrappers mask out degenerate services and assign the
-    ufunc results into zeros; over an all-true mask that is the same
-    values, so a regular evaluation calls the ufuncs directly and skips
-    the wrappers' broadcasts and boolean gathers, bit for bit.
-    """
-    if regular:
-        xs = np.maximum(x, 0.0)
-        exceed = _sc.gammaincc(shape, xs / scale)
-        upper = mean * _sc.gammaincc(shape + 1.0, xs / scale)
-        return exceed, np.maximum(upper - xs * exceed, 0.0)
-    exceed = gamma_sf(x, shape, scale)
-    return exceed, tail_expectation(x, mean, shape, scale, sf=exceed)
 
 
 @dataclass(frozen=True)
@@ -259,9 +234,7 @@ class KernelSignals:
 
     Everything downstream evaluators need beyond the latency itself:
     scalars are ``(B,)``, per-service signals ``(B, S)`` (``scale`` is the
-    workload-independent ``(S,)`` Gamma scale).  ``regular`` is true when
-    no service is degenerate (every shape and scale above ``_EPS``), so
-    Gamma functions of these signals may skip the degenerate-entry masks.
+    workload-independent ``(S,)`` Gamma scale).
     """
 
     mean: np.ndarray
@@ -271,7 +244,6 @@ class KernelSignals:
     overload: np.ndarray
     per_visit: np.ndarray
     latency: np.ndarray
-    regular: bool
 
 
 class NoiselessLatencyKernel:
@@ -295,7 +267,6 @@ class NoiselessLatencyKernel:
         self._floors = app.floor_array()
         self._baselines = app.baseline_array()
         self._plan = _AggregationPlan(app)
-        self._scale_regular = bool((self._burst > _EPS).all())
 
     @property
     def app(self) -> "AppSpec":
@@ -343,10 +314,8 @@ class NoiselessLatencyKernel:
         ) / col
         shape = np.where(mean > _EPS, mean / self._burst, 0.0)
         scale = self._burst
-        # A shape above _EPS implies a mean above it (degenerate means
-        # get shape 0), so this one test covers every mask of the wrappers.
-        regular = self._scale_regular and bool((shape > _EPS).all())
-        exceed, excess = _gamma_tail(alloc, mean, shape, scale, regular)
+        exceed = gamma_sf(alloc, shape, scale)
+        excess = tail_expectation(alloc, mean, shape, scale, sf=exceed)
         overload = excess / np.maximum(alloc, _EPS)
         floors = self._floors / col
         per_visit = visit_latency(floors, overload, exceed, self.params)
@@ -359,7 +328,6 @@ class NoiselessLatencyKernel:
             overload=overload,
             per_visit=per_visit,
             latency=latency,
-            regular=regular,
         )
 
     def latency(
@@ -412,11 +380,6 @@ class CellKernel:
         self._scale = kernel._burst
         self._floors = kernel._floors / speed
         self._plan = kernel._plan
-        # The degenerate-service masks depend only on (shape, scale, mean),
-        # fixed here, so whether _gamma_tail may skip them is decided once.
-        self._regular = kernel._scale_regular and bool(
-            (self._shape > _EPS).all()
-        )
         self._memo: list[dict[float, float]] = [
             {} for _ in kernel._visits
         ]
@@ -425,9 +388,11 @@ class CellKernel:
         """Compute the missing (service, level) visit latencies, vectorized."""
         jv = np.asarray(services, dtype=np.intp)
         xv = np.asarray(levels, dtype=np.float64)
-        exceed, excess = _gamma_tail(
-            xv, self._mean[jv], self._shape[jv], self._scale[jv], self._regular
-        )
+        shape = self._shape[jv]
+        scale = self._scale[jv]
+        mean = self._mean[jv]
+        exceed = gamma_sf(xv, shape, scale)
+        excess = tail_expectation(xv, mean, shape, scale, sf=exceed)
         overload = excess / np.maximum(xv, _EPS)
         values = visit_latency(self._floors[jv], overload, exceed, self.params)
         for j, level, value in zip(services, levels, values):

@@ -242,7 +242,7 @@ class _OptimumBank:
 
 
 class _KindRouter:
-    """One bank over a batch group whose cells mix controller kinds.
+    """One bank over a batch group, whatever controller kinds it mixes.
 
     Holds the group's ``(B, S)`` allocation and live ``(B,)`` SLO; each
     step hands every kind's bank its rows of the shared observation and
@@ -367,7 +367,7 @@ def _run_units_batched(
         )
     )
     # One bank per controller kind (first-appearance order), each over
-    # its own cells; a mixed group routes rows to them.
+    # its own cells; the router hands each bank its rows.
     kinds: dict[str, list[int]] = {}
     for i, spec in enumerate(specs):
         kinds.setdefault(spec.autoscaler.kind, []).append(i)
@@ -377,7 +377,7 @@ def _run_units_batched(
         )
         for kind, rows in kinds.items()
     ]
-    bank = banks[0] if len(banks) == 1 else _KindRouter(banks, kinds.values())
+    bank = _KindRouter(banks, kinds.values())
 
     # Decision tracing: cells whose spec requested the channel record one
     # info dict per step from their bank (banks whose autoscalers have no

@@ -48,6 +48,44 @@ class TestGammaPrimitives:
         assert gamma_quantile(0.97, zero, one)[0] == 0.0
         assert tail_expectation(one, zero, zero, one)[0] == 0.0
 
+    def test_degenerate_entry_keeps_regular_bytes(self):
+        # One degenerate entry sends a call down the masked path; the
+        # regular entries must keep the bytes of an all-regular call.
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.1, 4.0, (3, 4))
+        mean = rng.uniform(0.5, 3.0, (3, 4))
+        scale = rng.uniform(0.5, 2.0, 4)
+        shape = mean / scale
+        mixed = shape.copy()
+        mixed[1, 2] = 0.0
+        keep = np.ones_like(x, dtype=bool)
+        keep[1, 2] = False
+        sf = gamma_sf(x, shape, scale)
+        cases = [
+            (gamma_sf(x, mixed, scale), sf),
+            (
+                tail_expectation(x, mean, mixed, scale),
+                tail_expectation(x, mean, shape, scale),
+            ),
+            (
+                tail_expectation(x, mean, mixed, scale, sf=sf),
+                tail_expectation(x, mean, shape, scale, sf=sf),
+            ),
+            (gamma_quantile(0.9, mixed, scale), gamma_quantile(0.9, shape, scale)),
+        ]
+        for masked, direct in cases:
+            assert masked.shape == direct.shape == x.shape
+            assert masked[1, 2] == 0.0
+            assert masked[keep].tobytes() == direct[keep].tobytes()
+
+    def test_scalar_inputs_return_arrays(self):
+        for out in (
+            gamma_sf(1.0, 2.0, 1.5),
+            gamma_quantile(0.9, 2.0, 1.5),
+            tail_expectation(1.0, 3.0, 2.0, 1.5),
+        ):
+            assert isinstance(out, np.ndarray) and out.shape == ()
+
     def test_tail_expectation_matches_numeric(self):
         shape, scale = 1.5, 2.0
         mean = shape * scale
